@@ -35,17 +35,27 @@ func (c *collectTracer) snapshot() []search.Event {
 }
 
 // TestDriftDetectTriggersWarmRetune drives the whole continuous-tuning
-// loop end to end over both wire framings: a client tunes under workload A,
-// the observed characteristics switch to workload B mid-session (and the
-// performance surface moves with them), and the server must detect the
-// drift, deposit the finished phase, warm re-tune in-session, and find the
-// post-drift optimum — all inside one connection.
+// loop end to end over both wire framings, lockstep and pipelined: a client
+// tunes under workload A, the observed characteristics switch to workload B
+// mid-session (and the performance surface moves with them), and the server
+// must detect the drift, deposit the finished phase, warm re-tune
+// in-session, and find the post-drift optimum — all inside one connection.
 func TestDriftDetectTriggersWarmRetune(t *testing.T) {
 	charsA := []float64{0.8, 0.2}
 	charsB := []float64{0.1, 0.9}
 
-	for _, proto := range []int{2, 3} {
-		t.Run(fmt.Sprintf("proto%d", proto), func(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		proto, window int
+	}{
+		{"proto2", 2, 0},
+		{"proto3", 3, 0},
+		// Window 4 tunes through TuneParallel, whose worker reports must
+		// carry the observed characteristics too.
+		{"proto3_window4", 3, 4},
+	} {
+		proto := tc.proto
+		t.Run(tc.name, func(t *testing.T) {
 			tracer := &collectTracer{}
 			s := NewServer()
 			s.DriftDetect = true
@@ -61,7 +71,7 @@ func TestDriftDetectTriggersWarmRetune(t *testing.T) {
 			c := dial(t, addr.String())
 			if _, err := c.Register(quadRSL, RegisterOptions{
 				MaxEvals: 400, Improved: true, App: "drifting",
-				Characteristics: charsA, Proto: proto,
+				Characteristics: charsA, Proto: proto, Window: tc.window,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -70,8 +80,11 @@ func TestDriftDetectTriggersWarmRetune(t *testing.T) {
 			// The workload drifts after a dozen measurements: the reported
 			// characteristics switch to B and the optimum jumps from (20,45)
 			// to (50,10).
+			var mu sync.Mutex
 			n := 0
-			best, err := c.Tune(func(cfg search.Config) float64 {
+			measure := func(cfg search.Config) float64 {
+				mu.Lock()
+				defer mu.Unlock()
 				n++
 				px, py := 20, 45
 				if n > 12 {
@@ -80,7 +93,13 @@ func TestDriftDetectTriggersWarmRetune(t *testing.T) {
 				}
 				dx, dy := float64(cfg[0]-px), float64(cfg[1]-py)
 				return 1000 - dx*dx - dy*dy
-			})
+			}
+			var best *Best
+			if tc.window > 1 {
+				best, err = c.TuneParallel(measure, tc.window)
+			} else {
+				best, err = c.Tune(measure)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,7 +7,8 @@ package server
 // tuning sessions (see wire.go for the frame layout). The connection
 // goroutine turns into a demultiplexer: it reads frames, routes each to its
 // session's bounded inbox, and runs one goroutine per session executing the
-// very same lockstep/pipelined message loops a plain connection runs.
+// same serveSession loop a plain connection runs — a window-1 session reads
+// its inbox inline, a window > 1 session selects on it directly.
 // Replies from every session funnel through a single corked writer that
 // coalesces all ready frames into one buffered flush, collapsing the
 // two-syscalls-per-exchange floor of one-connection-per-session deployments
@@ -37,8 +38,6 @@ import (
 	"sync"
 
 	"bufio"
-
-	"harmony/internal/obs"
 )
 
 // DefaultMaxMuxSessions caps concurrent sessions per mux connection when
@@ -68,10 +67,6 @@ type muxItem struct {
 type muxSession struct {
 	mc    *muxConn
 	token uint64
-	id    string
-	st    *sessionState
-	end   SessionEnd
-	sess  *session
 	inbox chan muxItem
 	// termErr is the terminal recv condition delivered by closing inbox:
 	// io.EOF for a clean connection close, io.ErrUnexpectedEOF/errFrameTooBig
@@ -80,8 +75,8 @@ type muxSession struct {
 	log     *slog.Logger
 }
 
-// recv implements transport over the session's inbox: the message loops run
-// unchanged, reading routed frames instead of the socket.
+// recv implements transport over the session's inbox: the message loop
+// runs unchanged, reading routed frames instead of the socket.
 func (ms *muxSession) recv() (message, error) {
 	it, ok := <-ms.inbox
 	if !ok {
@@ -131,26 +126,10 @@ type muxConn struct {
 	wg sync.WaitGroup
 }
 
-// muxSetup carries serve()'s per-connection context into serveMux.
-type muxSetup struct {
-	bw          *binWire
-	w           *bufio.Writer
-	beforeWrite func()
-	reg         message // the negotiation register (attaches session 1)
-	id          string
-	shard       int
-	connID      string
-	remote      string
-	st          *sessionState
-	log         *slog.Logger
-	budget      int
-}
-
-// serveMux runs a multiplexed connection: demux loop on this goroutine, one
-// corked-writer goroutine, one runner goroutine per session. It owns every
-// session's bookkeeping — including session 1's, which reuses the
-// connection's id, state twin and the started/active counts handle() took.
-func (s *Server) serveMux(su muxSetup) error {
+// serveMux runs a multiplexed connection whose negotiation register opened
+// sess: demux loop on this goroutine, one corked-writer goroutine, one
+// runner goroutine per session. sess becomes token 1.
+func (s *Server) serveMux(bw *binWire, reg message, sess *session, shard int, connID, remote string) error {
 	m := s.m()
 	m.MuxConnections.Inc()
 	defer m.MuxConnections.Dec()
@@ -160,8 +139,8 @@ func (s *Server) serveMux(su muxSetup) error {
 		maxSessions = DefaultMaxMuxSessions
 	}
 	mc := &muxConn{
-		s: s, shard: su.shard, connID: su.connID, remote: su.remote,
-		budget: su.budget, log: su.log, maxSessions: maxSessions,
+		s: s, shard: shard, connID: connID, remote: remote,
+		budget: s.failureBudget(), log: sess.log, maxSessions: maxSessions,
 		out:        make(chan message, 64),
 		writeDead:  make(chan struct{}),
 		writerDone: make(chan struct{}),
@@ -169,27 +148,18 @@ func (s *Server) serveMux(su muxSetup) error {
 	}
 	// The negotiation register was a plain v3 frame; everything after it, in
 	// both directions, carries a session token.
-	su.bw.fr.mux = true
-	go mc.writer(su.w, su.beforeWrite)
+	bw.fr.mux = true
+	go mc.writer(bw.fw.w, bw.beforeWrite)
 
-	err := mc.attach(muxToken1, su.reg, su.id, su.st, su.log)
-	if err != nil {
-		// Session 1 never started. Close out the state handle() opened,
-		// answer on its token so the client's pending Register fails, and
-		// end the connection: a peer whose negotiation register is invalid
-		// has nothing to multiplex.
-		mc.attachFailed(muxToken1, su.id, su.st, su.reg.App, err)
-		mc.teardown(err)
-		m.MuxSessionsPerConn.Observe(0)
-		return err
+	// A peer whose negotiation register is invalid has nothing to
+	// multiplex: session 1's failed attach ends the connection.
+	err := mc.attach(muxToken1, reg, sess)
+	if err == nil {
+		err = mc.demux(bw)
 	}
-
-	err = mc.demux(su.bw)
 	mc.teardown(err)
-	mc.mu.Lock()
-	attached := mc.attached
-	mc.mu.Unlock()
-	m.MuxSessionsPerConn.Observe(float64(attached))
+	// attach, the only writer of attached, runs on this goroutine.
+	m.MuxSessionsPerConn.Observe(float64(mc.attached))
 	return err
 }
 
@@ -295,112 +265,38 @@ func (mc *muxConn) register(reg message, connFault func(string) error) error {
 		mc.send(tok, message{Op: "error", Msg: fmt.Sprintf("mux session limit reached (%d)", mc.maxSessions)}) //nolint:errcheck
 		return nil
 	}
-	id := obs.NewID()
-	m.SessionsStarted.Inc()
-	m.SessionsActive.Inc()
-	log := s.logger().With("session", id, "remote", mc.remote, "conn", mc.connID)
-	st := s.trackState(id, mc.remote, mc.connID)
-	if err := mc.attach(tok, reg, id, st, log); err != nil {
-		mc.attachFailed(tok, id, st, reg.App, err)
-	}
+	mc.attach(tok, reg, s.openSession(mc.remote, mc.connID)) //nolint:errcheck // a failed attach ended its session
 	return nil
 }
 
-// attach starts one session's kernel, installs it in the table and launches
-// its runner goroutine.
-func (mc *muxConn) attach(tok uint64, reg message, id string, st *sessionState, log *slog.Logger) error {
+// attach registers sess on token tok, installs it in the table and launches
+// its runner goroutine. A session whose registration fails is answered on
+// its token and ended here.
+func (mc *muxConn) attach(tok uint64, reg message, sess *session) error {
 	s := mc.s
-	sess, err := s.startSession(reg, id, st, log)
-	if err != nil {
+	ms := &muxSession{mc: mc, token: tok, log: sess.log}
+	lo := loop{s: s, sess: sess, tr: ms, proto: 3, shard: mc.shard, budget: mc.budget, token: tok}
+	if err := s.register(sess, reg, lo); err != nil {
+		s.endSession(sess, err)
 		return err
 	}
 	// The session's flow-control credit: a conforming client holds at most
 	// window configs plus a coalesced report+fetch in flight, so 2×window+4
 	// only ever fills when the peer ignores the protocol's own pacing.
-	ms := &muxSession{
-		mc: mc, token: tok, id: id, st: st, sess: sess, log: log,
-		inbox: make(chan muxItem, 2*sess.window+4),
-		end:   SessionEnd{ID: id, App: reg.App},
-	}
-	if sess.warm {
-		s.m().WarmStarts.Inc()
-	}
-	st.mu.Lock()
-	st.snap.Proto = 3
-	st.snap.FailureBudget = mc.budget
-	st.snap.Mux = true
-	st.mu.Unlock()
-	log.Info("session registered",
-		"app", reg.App, "dim", len(sess.names), "warm", sess.warm,
-		"improved", reg.Improved, "max_evals", reg.MaxEvals,
-		"window", sess.window, "mux_token", tok)
+	ms.inbox = make(chan muxItem, 2*sess.window+4)
+	lo.in, lo.term = ms.inbox, &ms.termErr
 	mc.mu.Lock()
 	mc.table[tok] = ms
 	mc.attached++
 	mc.mu.Unlock()
 	mc.wg.Add(1)
-	go mc.run(ms)
+	go func() {
+		defer mc.wg.Done()
+		err := s.serveSession(sess, lo)
+		mc.detach(tok)
+		s.endSession(sess, err)
+	}()
 	return nil
-}
-
-// attachFailed closes out a session whose registration never succeeded:
-// framed error on its token, failure accounting, state finished.
-func (mc *muxConn) attachFailed(tok uint64, id string, st *sessionState, app string, err error) {
-	s := mc.s
-	m := s.m()
-	m.ProtocolErrors.Inc()
-	mc.send(tok, message{Op: "error", Msg: err.Error()}) //nolint:errcheck
-	m.SessionsActive.Dec()
-	m.SessionFailures.Inc()
-	end := SessionEnd{ID: id, App: app, Err: err}
-	s.finishState(st, end)
-	if s.OnSessionEnd != nil {
-		s.OnSessionEnd(end)
-	}
-}
-
-// run is one session's goroutine: the same registered-reply + message-loop +
-// kernel-unwind + bookkeeping tail a plain connection's handler runs.
-func (mc *muxConn) run(ms *muxSession) {
-	defer mc.wg.Done()
-	s := mc.s
-	m := s.m()
-	lo := loop{
-		tr: ms, send: ms.send, fail: s.failer(ms.send),
-		tolerate: s.tolerator(&ms.end, ms.st, ms.id, mc.budget, ms.log),
-		proto:    3, shard: mc.shard,
-	}
-	err := s.runRegistered(ms.sess, &ms.end, lo)
-	// Unblock the kernel and wait for it to unwind; an abnormal end deposits
-	// the partial trace before kernelDone closes (§4.2).
-	close(ms.sess.abort)
-	<-ms.sess.kernelDone
-	ms.end.Warm = ms.sess.warm
-	ms.end.Deposited = ms.sess.deposited
-	ms.end.Err = err
-
-	if ms.end.Completed {
-		m.SessionsCompleted.Inc()
-	}
-	if ms.end.Deposited {
-		m.Deposits.Inc()
-	}
-	if err != nil {
-		m.SessionFailures.Inc()
-		ms.log.Warn("session failed",
-			"app", ms.end.App, "warm", ms.end.Warm, "completed", ms.end.Completed,
-			"deposited", ms.end.Deposited, "faults", ms.end.Faults, "err", err)
-	} else {
-		ms.log.Info("session ended",
-			"app", ms.end.App, "warm", ms.end.Warm, "completed", ms.end.Completed,
-			"deposited", ms.end.Deposited, "faults", ms.end.Faults)
-	}
-	mc.detach(ms.token)
-	s.finishState(ms.st, ms.end)
-	if s.OnSessionEnd != nil {
-		s.OnSessionEnd(ms.end)
-	}
-	m.SessionsActive.Dec()
 }
 
 // lookup resolves a live session token.

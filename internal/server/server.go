@@ -11,6 +11,7 @@ import (
 	"log/slog"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,15 +58,8 @@ type Server struct {
 	FailureBudget int
 	// Logger receives structured session-level events (session start/end,
 	// tolerated faults, partial-trace deposits, shutdown progress). Every
-	// record carries the session ID. Nil falls back to the deprecated Logf
-	// shim when that is set, and otherwise discards. Set it before Listen.
+	// record carries the session ID. Nil discards. Set it before Listen.
 	Logger *slog.Logger
-	// Logf, when set (and Logger is nil), receives the same events as
-	// flat printf lines.
-	//
-	// Deprecated: set Logger instead. Logf is kept so existing callers
-	// compile; it is adapted through obs.FuncHandler.
-	Logf func(format string, args ...interface{})
 	// Metrics, when set, receives the server's counter updates (sessions
 	// started/active/completed/failed/severed, failure-budget spend,
 	// protocol errors, deposits, warm starts, drain durations). Build it
@@ -79,9 +73,9 @@ type Server struct {
 	// interleaves sessions demultiplexably. The sink must be safe for
 	// concurrent Emit. Set it before Listen.
 	Tracer search.Tracer
-	// OnSessionEnd, when set, is called after a session's handler and
-	// kernel goroutine have both finished — one call per connection, from
-	// the connection's goroutine. Intended for metrics and tests.
+	// OnSessionEnd, when set, is called after a session's message loop and
+	// kernel goroutine have both finished — one call per session, from the
+	// goroutine that ran it. Intended for metrics and tests.
 	OnSessionEnd func(SessionEnd)
 	// Experience is the cross-session prior-run store: sessions that
 	// declare workload characteristics deposit their tuning traces and
@@ -323,15 +317,11 @@ func (s *Server) tab() *connTable {
 	return s.connTab
 }
 
-// logger resolves the server's structured logger: Logger when set, the
-// deprecated Logf through a shim otherwise, and a discard logger when
-// neither is configured.
+// logger resolves the server's structured logger: Logger when set, a
+// discard logger otherwise.
 func (s *Server) logger() *slog.Logger {
 	if s.Logger != nil {
 		return s.Logger
-	}
-	if s.Logf != nil {
-		return slog.New(obs.FuncHandler(s.Logf))
 	}
 	return obs.Nop()
 }
@@ -392,9 +382,9 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			// handle logs its own end (structured, with session ID)
-			// and reports it through OnSessionEnd.
-			s.handle(conn) //nolint:errcheck
+			// Every session logs its own end (structured, with session
+			// ID) and reports it through OnSessionEnd.
+			s.handle(conn)
 		}()
 	}
 }
@@ -511,9 +501,19 @@ type evalReq struct {
 // channel instead — a late delivery may still be in flight there.
 var replyChanPool = sync.Pool{New: func() any { return make(chan float64, 1) }}
 
-// session is the bridge between the blocking search kernel and the
-// fetch/report message loop.
+// session is one tuning session, whatever its framing: the bookkeeping its
+// lifecycle carries from openSession to endSession, and the bridge between
+// the blocking search kernel and the fetch/report message loop.
 type session struct {
+	id  string
+	log *slog.Logger
+	// end accumulates the session's outcome; endSession completes and
+	// publishes it.
+	end SessionEnd
+	// state is the session's control-plane twin (never nil): the trace
+	// stream and the message loop keep it current, the API snapshots it.
+	state *sessionState
+
 	space *search.Space
 	names []string
 	dir   search.Direction
@@ -525,8 +525,8 @@ type session struct {
 	// client-facing parameter values. Configurations flowing through evals
 	// are already client-facing.
 	bestToWire func(search.Config) []int
-	// window is the granted pipeline depth: 1 selects the lockstep v1
-	// loop, >1 the pipelined v2 loop with up to window outstanding
+	// window is the granted pipeline depth: 1 is the lockstep v1 exchange,
+	// >1 the pipelined v2 exchange with up to window outstanding
 	// configurations and a kernel measuring that many points concurrently.
 	window   int
 	evals    chan evalReq
@@ -534,16 +534,14 @@ type session struct {
 	errCh    chan error
 	abort    chan struct{}
 	// kernelDone closes when the kernel goroutine has fully unwound (and
-	// any partial-trace deposit has happened). The handler waits on it, so
-	// Server.Shutdown transitively waits for kernels too.
+	// any partial-trace deposit has happened); nil until the kernel starts.
+	// endSession waits on it, so Server.Shutdown transitively waits for
+	// kernels too.
 	kernelDone chan struct{}
 	warm       bool // a prior experience seeded this session
 	// deposited is written by the kernel goroutine before kernelDone
-	// closes and read by the handler after it — no lock needed.
+	// closes and read by endSession after it — no lock needed.
 	deposited bool
-	// state is the session's control-plane twin (never nil): the trace
-	// stream and the message loop keep it current, the API snapshots it.
-	state *sessionState
 	// detector is the session's workload-drift detector, nil unless the
 	// server enables detection and the registration carried
 	// characteristics. The message loop observes into it; the kernel
@@ -559,7 +557,7 @@ type session struct {
 }
 
 // noteChars folds one report's observed workload characteristics into the
-// session's drift detector. Called from the message loops; a session
+// session's drift detector. Called from the message loop; a session
 // without a detector (detection off, or no characteristics registered)
 // ignores them.
 func (sess *session) noteChars(chars []float64) {
@@ -582,55 +580,81 @@ func (sess *session) noteChars(chars []float64) {
 // errAborted signals the kernel goroutine that the client went away.
 var errAborted = errors.New("server: session aborted")
 
-// handle runs one connection's session and reports its end to the
-// OnSessionEnd hook, the metrics bundle and the structured logger.
-func (s *Server) handle(conn net.Conn) error {
+// errClosedBeforeRegister ends a connection that went away before its
+// register envelope arrived.
+var errClosedBeforeRegister = errors.New("server: client closed before registering")
+
+// handle runs one accepted connection: it opens the connection's session
+// and serves it.
+func (s *Server) handle(conn net.Conn) {
 	token, ok := s.tab().Track(conn)
 	if !ok {
 		conn.Close()
-		return errors.New("server: shutting down")
+		return
 	}
 	defer s.tab().Untrack(token)
 	defer conn.Close()
 
-	id := obs.NewID()
 	// The connection token names the transport in session snapshots, so the
-	// control plane can group the sessions of one mux connection.
+	// control plane can group the sessions of one mux connection. It doubles
+	// as the metric stripe: hot-path counters land on the same shard the
+	// session table uses.
 	connID := fmt.Sprintf("conn-%d", token)
-	log := s.logger().With("session", id, "remote", conn.RemoteAddr().String())
+	sess := s.openSession(conn.RemoteAddr().String(), connID)
+	sess.log.Debug("session started")
+	s.serve(conn, sess, int(token), connID)
+}
+
+// openSession is the first step of every session's lifecycle: count it,
+// give it an ID, a logger and a control-plane state twin. Every opened
+// session is closed by exactly one endSession.
+func (s *Server) openSession(remote, connID string) *session {
+	id := obs.NewID()
 	m := s.m()
 	m.SessionsStarted.Inc()
 	m.SessionsActive.Inc()
-	activeOwned := true
-	defer func() {
-		if activeOwned {
-			m.SessionsActive.Dec()
-		}
-	}()
-	log.Debug("session started")
-
-	st := s.trackState(id, conn.RemoteAddr().String(), connID)
-	end := SessionEnd{ID: id}
-	// The connection token doubles as the metric stripe: hot-path counters
-	// land on the same shard the session table uses.
-	sess, muxed, err := s.serve(conn, &end, id, int(token), connID, st, log)
-	if muxed {
-		// serveMux owned every session's bookkeeping — including the first,
-		// which reused this connection's id, state twin and the
-		// started/active counts above. Only connection-level logging is
-		// left.
-		activeOwned = false
-		if err != nil {
-			log.Warn("mux connection ended", "err", err)
-		} else {
-			log.Debug("mux connection ended")
-		}
-		return err
+	return &session{
+		id:    id,
+		log:   s.logger().With("session", id, "remote", remote, "conn", connID),
+		end:   SessionEnd{ID: id},
+		state: s.trackState(id, remote, connID),
 	}
-	if sess != nil {
-		// Unblock the kernel and wait for it to unwind; an abnormal
-		// disconnect deposits the partial trace before kernelDone closes,
-		// so prior-run data is never lost (§4.2).
+}
+
+// register starts the session's kernel from its register envelope and
+// records the registration. A failed registration is answered with a
+// protocol error, which is returned.
+func (s *Server) register(sess *session, reg message, lo loop) error {
+	sess.end.App = reg.App
+	if err := s.startSession(sess, reg); err != nil {
+		return lo.fail(err.Error())
+	}
+	if sess.warm {
+		s.m().WarmStarts.Inc()
+	}
+	st := sess.state
+	st.mu.Lock()
+	st.snap.Proto = lo.proto
+	st.snap.FailureBudget = lo.budget
+	st.snap.Mux = lo.token != 0
+	st.mu.Unlock()
+	args := []any{"app", reg.App, "dim", len(sess.names), "warm", sess.warm,
+		"improved", reg.Improved, "max_evals", reg.MaxEvals, "window", sess.window}
+	if lo.token != 0 {
+		args = append(args, "mux_token", lo.token)
+	}
+	sess.log.Info("session registered", args...)
+	return nil
+}
+
+// endSession is the last step of every session's lifecycle: unblock the
+// kernel and wait for it to unwind (an abnormal end deposits the partial
+// trace before kernelDone closes, so prior-run data is never lost, §4.2),
+// then report the end to the metrics bundle, the structured logger, the
+// state registry and the OnSessionEnd hook.
+func (s *Server) endSession(sess *session, err error) {
+	end := &sess.end
+	if sess.kernelDone != nil {
 		close(sess.abort)
 		<-sess.kernelDone
 		end.Warm = sess.warm
@@ -638,6 +662,7 @@ func (s *Server) handle(conn net.Conn) error {
 	}
 	end.Err = err
 
+	m := s.m()
 	if end.Completed {
 		m.SessionsCompleted.Inc()
 	}
@@ -646,40 +671,84 @@ func (s *Server) handle(conn net.Conn) error {
 	}
 	if err != nil {
 		m.SessionFailures.Inc()
-		log.Warn("session failed",
+		sess.log.Warn("session failed",
 			"app", end.App, "warm", end.Warm, "completed", end.Completed,
 			"deposited", end.Deposited, "faults", end.Faults, "err", err)
 	} else {
-		log.Info("session ended",
+		sess.log.Info("session ended",
 			"app", end.App, "warm", end.Warm, "completed", end.Completed,
 			"deposited", end.Deposited, "faults", end.Faults)
 	}
-	s.finishState(st, end)
+	s.finishState(sess.state, *end)
 	if s.OnSessionEnd != nil {
-		s.OnSessionEnd(end)
+		s.OnSessionEnd(*end)
 	}
-	return err
+	m.SessionsActive.Dec()
 }
 
-// loop bundles the per-connection wire helpers shared by the lockstep and
-// pipelined message loops.
+// loop is one session's view of its wire: the transport, the framing and
+// the failure-budget helpers the message loop uses.
 type loop struct {
-	tr       transport
-	send     func(m message) error
-	fail     func(msg string) error
-	tolerate func(what string) error
+	s    *Server
+	sess *session
+	tr   transport
 	// proto is the negotiated framing generation: 2 for the JSON line
-	// protocol (v1/v2 share it; the registered window picks the loop),
+	// protocol (v1/v2 share it; the registered window picks the exchange),
 	// 3 for binary frames.
 	proto int
 	// shard is the metric stripe for the hot-path counters.
-	shard int
+	shard  int
+	budget int
+	// token is the session's v4-mux token (0 on a plain connection); in
+	// and term are a mux session's inbox and its terminal condition (term
+	// is valid once in is closed).
+	token uint64
+	in    chan muxItem
+	term  *error
 }
 
 // acks reports whether this framing acknowledges reports and quits. v3
 // does not: as in the pipelined v2 exchange, the next config is the flow
 // control, which lets clients coalesce report+fetch into one write.
 func (lo loop) acks() bool { return lo.proto < 3 }
+
+// fail is the protocol rejection: count it, tell the client, and return
+// the terminal error.
+func (lo loop) fail(msg string) error {
+	lo.s.m().ProtocolErrors.Inc()
+	lo.tr.send(message{Op: "error", Msg: msg}) //nolint:errcheck
+	return errors.New(msg)
+}
+
+// tolerate charges one fault against the session's failure budget. Every
+// charge is observable (counter, warn log, typed budget event); the
+// returned error is non-nil once the budget is exhausted.
+func (lo loop) tolerate(what string) error {
+	s, sess, end := lo.s, lo.sess, &lo.sess.end
+	end.Faults++
+	sess.state.faults.Store(int64(end.Faults))
+	s.m().Faults.Inc()
+	if s.Tracer != nil {
+		s.Tracer.Emit(search.Event{
+			Session: sess.id, Time: time.Now(), Type: search.EventBudget,
+			Iter: end.Faults, Note: what,
+		})
+	}
+	if end.Faults > lo.budget {
+		return fmt.Errorf("failure budget exhausted (%d faults > %d): %s", end.Faults, lo.budget, what)
+	}
+	sess.log.Warn("tolerated fault", "fault", end.Faults, "budget", lo.budget, "what", what)
+	return nil
+}
+
+// charge is tolerate for the message loop: nil while the budget lasts, the
+// session's terminal protocol error once it is spent.
+func (lo loop) charge(what string) error {
+	if err := lo.tolerate(what); err != nil {
+		return lo.fail(err.Error())
+	}
+	return nil
+}
 
 // oversizedMsg is the classification for a wire unit (JSON line or v3
 // frame length claim) over the 1 MiB cap — sent to the client, charged to
@@ -720,8 +789,8 @@ func negotiate(br *bufio.Reader, w *bufio.Writer, beforeRead, beforeWrite func()
 	}
 	first, err := br.Peek(1)
 	if err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			err = io.EOF
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			err = errClosedBeforeRegister
 		}
 		return nil, 0, err
 	}
@@ -730,7 +799,7 @@ func negotiate(br *bufio.Reader, w *bufio.Writer, beforeRead, beforeWrite func()
 	}
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, 0, io.EOF
+		return nil, 0, errClosedBeforeRegister
 	}
 	if magic != v3Magic {
 		return nil, 0, errBadPreamble
@@ -749,62 +818,11 @@ func (s *Server) failureBudget() int {
 	return s.FailureBudget
 }
 
-// failer builds the protocol-rejection helper: count, tell the client, and
-// return the terminal error.
-func (s *Server) failer(send func(message) error) func(string) error {
-	return func(msg string) error {
-		s.m().ProtocolErrors.Inc()
-		send(message{Op: "error", Msg: msg}) //nolint:errcheck
-		return errors.New(msg)
-	}
-}
-
-// tolerator builds the failure-budget helper for one session: each charge
-// is observable (counter, warn log, typed budget event) and the returned
-// error is non-nil once the budget is exhausted.
-func (s *Server) tolerator(end *SessionEnd, st *sessionState, id string, budget int, log *slog.Logger) func(string) error {
-	return func(what string) error {
-		end.Faults++
-		st.faults.Store(int64(end.Faults))
-		s.m().Faults.Inc()
-		if s.Tracer != nil {
-			s.Tracer.Emit(search.Event{
-				Session: id, Time: time.Now(), Type: search.EventBudget,
-				Iter: end.Faults, Note: what,
-			})
-		}
-		if end.Faults > budget {
-			return fmt.Errorf("failure budget exhausted (%d faults > %d): %s", end.Faults, budget, what)
-		}
-		log.Warn("tolerated fault", "fault", end.Faults, "budget", budget, "what", what)
-		return nil
-	}
-}
-
-// runRegistered sends the registration reply and runs the message loop the
-// granted window selects — the per-session tail shared by plain
-// connections and every session of a mux connection.
-func (s *Server) runRegistered(sess *session, end *SessionEnd, lo loop) error {
-	regReply := message{Op: "registered", Names: sess.names, Warm: sess.warm}
-	if sess.window > 1 {
-		// Only v2 sessions see v2 fields: a v1 registration (no window)
-		// gets the byte-identical v1 reply.
-		regReply.Window = sess.window
-	}
-	if err := lo.send(regReply); err != nil {
-		return err
-	}
-	if sess.window > 1 {
-		return s.servePipelined(sess, end, lo)
-	}
-	return s.serveLockstep(sess, end, lo)
-}
-
-// serve runs the message loop. It returns the session (nil when
-// registration never succeeded), whether the connection negotiated mux
-// (session bookkeeping then happened per session inside serveMux), and the
-// terminal error.
-func (s *Server) serve(conn net.Conn, end *SessionEnd, id string, shard int, connID string, st *sessionState, log *slog.Logger) (*session, bool, error) {
+// serve negotiates the connection's framing, reads its register envelope
+// and runs the session to its end — or, when the envelope negotiates
+// v4-mux, hands the connection to serveMux, which runs sess as its token-1
+// session.
+func (s *Server) serve(conn net.Conn, sess *session, shard int, connID string) {
 	// 16 KiB holds any hot-path unit with room to spare (frames and lines
 	// are tens of bytes; only register envelopes run longer) and keeps the
 	// per-connection footprint small at thousand-session scale.
@@ -822,335 +840,303 @@ func (s *Server) serve(conn net.Conn, end *SessionEnd, id string, shard int, con
 	}
 
 	tr, proto, err := negotiate(br, w, beforeRead, beforeWrite)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, false, fmt.Errorf("server: client closed before registering")
-		}
-		if errors.Is(err, errBadPreamble) {
-			s.m().ProtocolErrors.Inc()
-			// The peer speaks neither framing; answer in JSON, the lingua
-			// franca every generation understands, before hanging up.
-			(&jsonWire{w: w, beforeWrite: beforeWrite}).send(message{Op: "error", Msg: err.Error()}) //nolint:errcheck
-			return nil, false, err
-		}
-		return nil, false, err
+	if errors.Is(err, errBadPreamble) {
+		s.m().ProtocolErrors.Inc()
+		// The peer speaks neither framing; answer in JSON, the lingua
+		// franca every generation understands, before hanging up.
+		(&jsonWire{w: w, beforeWrite: beforeWrite}).send(message{Op: "error", Msg: err.Error()}) //nolint:errcheck
 	}
-
-	send := tr.send
-	fail := s.failer(send)
-	budget := s.failureBudget()
-	// tolerate charges one fault against the session's budget. It returns
-	// an error once the budget is exhausted. Every charge is observable:
-	// a counter tick, a warn-level log record and a typed budget event on
-	// the trace stream.
-	tolerate := s.tolerator(end, st, id, budget, log)
-	lo := loop{tr: tr, send: send, fail: fail, tolerate: tolerate, proto: proto, shard: shard}
+	if err != nil {
+		s.endSession(sess, err)
+		return
+	}
+	lo := loop{s: s, sess: sess, tr: tr, proto: proto, shard: shard, budget: s.failureBudget()}
 
 	// First message must register. Faults before a session exists are not
 	// worth tolerating — there is no state to protect yet.
 	reg, err := tr.recv()
 	if err != nil {
 		var g *garbageError
-		switch {
-		case errors.As(err, &g):
-			return nil, false, fail(g.Error())
-		case errors.Is(err, io.EOF):
-			return nil, false, fmt.Errorf("server: client closed before registering")
+		if errors.As(err, &g) {
+			err = lo.fail(g.Error())
+		} else if err = s.recvEnd(err, lo); err == nil {
+			err = errClosedBeforeRegister
 		}
-		if err := s.recvEnd(err, lo); err != nil {
-			return nil, false, err
-		}
-		return nil, false, fmt.Errorf("server: client closed before registering")
-	}
-	if reg.Op != "register" {
-		return nil, false, fail("first message must be register")
-	}
-	if reg.Mux {
+	} else if reg.Op != "register" {
+		err = lo.fail("first message must be register")
+	} else if reg.Mux {
 		// The v4-mux negotiation: legal only as a v3 connection's first
-		// envelope. From here the connection hosts many sessions; serveMux
-		// owns all of their bookkeeping (the first reuses this connection's
-		// id and state twin).
+		// envelope. From here the connection hosts many sessions, this one
+		// as token 1.
 		bw, ok := tr.(*binWire)
-		if !ok || proto < 3 {
-			return nil, false, fail("mux negotiation requires the v3 binary framing")
-		}
-		if s.MaxMuxSessions < 0 {
-			return nil, false, fail("server refuses multiplexed connections")
-		}
-		return nil, true, s.serveMux(muxSetup{
-			bw: bw, w: w, beforeWrite: beforeWrite,
-			reg: reg, id: id, shard: shard, connID: connID,
-			remote: conn.RemoteAddr().String(),
-			st:     st, log: log, budget: budget,
-		})
-	}
-	sess, err := s.startSession(reg, id, st, log)
-	if err != nil {
-		return nil, false, fail(err.Error())
-	}
-	end.App = reg.App
-	if sess.warm {
-		s.m().WarmStarts.Inc()
-	}
-	st.mu.Lock()
-	st.snap.Proto = proto
-	st.snap.FailureBudget = budget
-	st.mu.Unlock()
-	log.Info("session registered",
-		"app", reg.App, "dim", len(sess.names), "warm", sess.warm,
-		"improved", reg.Improved, "max_evals", reg.MaxEvals,
-		"window", sess.window)
-
-	return sess, false, s.runRegistered(sess, end, lo)
-}
-
-// serveLockstep is the protocol v1 message loop: one fetch, one config,
-// one report, strictly alternating. Its JSON exchanges are byte-identical
-// to prior releases — v1 clients must not be able to tell the pipelined
-// server apart from the old one. Over v3 framing the same loop runs
-// without report/quit acks (lo.acks()): the next config is the flow
-// control, so a client coalesces report+fetch into one write.
-func (s *Server) serveLockstep(sess *session, end *SessionEnd, lo loop) error {
-	// pending is the configuration awaiting its report; havePending marks
-	// the gap between config out and report in. A value, not a pointer —
-	// taking a pointer into the received request would heap-allocate one
-	// per exchange.
-	var pending evalReq
-	var havePending bool
-	for {
-		m, err := lo.tr.recv()
-		if err != nil {
-			var g *garbageError
-			if errors.As(err, &g) {
-				// Garbage on the wire: skip the line or frame and charge
-				// the budget instead of killing a session that may hold
-				// hours of tuning progress.
-				if terr := lo.tolerate(g.Error()); terr != nil {
-					return lo.fail(terr.Error())
-				}
-				continue
-			}
-			return s.recvEnd(err, lo)
-		}
-		switch m.Op {
-		case "fetch":
-			if havePending {
-				// The report never arrived (the measurement crashed, or the
-				// report line was garbage and got skipped): mark the pending
-				// point failed with the worst-case penalty so the simplex
-				// moves on, charge one fault, and serve the fetch.
-				if terr := lo.tolerate("fetch while a report is pending — scoring the lost point as failed"); terr != nil {
-					return lo.fail(terr.Error())
-				}
-				pending.reply <- sess.penalty
-				havePending = false
-			}
-			select {
-			case req := <-sess.evals:
-				pending, havePending = req, true
-				sess.state.outstanding.Store(1)
-				s.m().ConfigsServed.Inc(lo.shard)
-				if err := lo.send(message{Op: "config", Values: req.cfg, Fidelity: req.fidelity}); err != nil {
-					return err
-				}
-			case res := <-sess.resultCh:
-				err := s.sendBest(lo.send, sess, res)
-				if err == nil {
-					end.Completed = true
-				}
-				return err
-			case err := <-sess.errCh:
-				return lo.fail(err.Error())
-			}
-		case "report":
-			if !havePending {
-				return lo.fail("report without a pending configuration")
-			}
-			perf := m.Perf
-			if search.IsFailure(perf, sess.dir) {
-				// A non-finite (or absurd) report marks the pending point
-				// failed: worst-case penalty, one fault charged.
-				if terr := lo.tolerate(fmt.Sprintf("non-finite performance report %v", perf)); terr != nil {
-					return lo.fail(terr.Error())
-				}
-				perf = sess.penalty
-			} else {
-				perf = search.Sanitize(perf, sess.dir)
-			}
-			s.m().ReportsReceived.Inc(lo.shard)
-			sess.noteChars(m.Characteristics)
-			pending.reply <- perf
-			havePending = false
-			sess.state.outstanding.Store(0)
-			if lo.acks() {
-				if err := lo.send(message{Op: "ok"}); err != nil {
-					return err
-				}
-			}
-		case "quit":
-			if lo.acks() {
-				lo.send(message{Op: "ok"}) //nolint:errcheck // closing anyway
-			}
-			return nil
+		switch {
+		case !ok:
+			err = lo.fail("mux negotiation requires the v3 binary framing")
+		case s.MaxMuxSessions < 0:
+			err = lo.fail("server refuses multiplexed connections")
 		default:
-			return lo.fail(fmt.Sprintf("unknown op %q", m.Op))
+			if err := s.serveMux(bw, reg, sess, shard, connID, conn.RemoteAddr().String()); err != nil {
+				sess.log.Warn("mux connection ended", "err", err)
+			} else {
+				sess.log.Debug("mux connection ended")
+			}
+			return
 		}
 	}
+	if err == nil {
+		err = s.register(sess, reg, lo)
+	}
+	if err == nil {
+		err = s.serveSession(sess, lo)
+	}
+	s.endSession(sess, err)
 }
 
-// servePipelined is the protocol v2 message loop: the session holds up to
-// sess.window outstanding configurations, fetches are credits the client
-// may pipeline, and reports arrive out of order keyed by correlation id.
-// Reads move to a goroutine so a fetch that cannot be answered yet (the
-// kernel is between points) never blocks report processing.
-func (s *Server) servePipelined(sess *session, end *SessionEnd, lo loop) error {
-	m := s.m()
-	type line struct {
-		msg message
-		err error
+// serveSession is the message loop every registered session runs, on every
+// framing. It answers the registration, then hands the kernel's
+// configurations to the client against fetch credits and feeds the reports
+// back, until the final best goes out, the client quits or the session
+// fails.
+//
+// A window-1 session is the protocol v1 lockstep exchange: one fetch, one
+// config, one report, strictly alternating. It reads inline on this
+// goroutine — from the socket, or from its mux inbox — because with no
+// fetch to answer there is nothing to wait on but the client, and a hop
+// through a reader goroutine costs more than the exchange itself. Its JSON
+// exchanges are byte-identical to prior releases: reports are acked,
+// configs and reports carry no ids, a fetch while a report is pending
+// scores the lost point with the penalty, and a report with nothing pending
+// is fatal. Over v3 framing no report or quit is acked (lo.acks()): the
+// next config is the flow control, so a client coalesces report+fetch into
+// one write.
+//
+// A window > 1 session is the protocol v2 pipelined exchange: up to window
+// outstanding configurations, fetches are credits the client may
+// pipeline, and reports arrive out of order keyed by correlation id. The
+// loop selects on one inbound channel — a mux session's inbox, or on a
+// plain connection a reader goroutine's feed — so a fetch that cannot be
+// answered yet (the kernel is between points) never blocks report
+// processing.
+func (s *Server) serveSession(sess *session, lo loop) error {
+	lockstep := sess.window == 1
+	reply := message{Op: "registered", Names: sess.names, Warm: sess.warm}
+	if !lockstep {
+		// Only v2 sessions see v2 fields: a v1 registration (no window)
+		// gets the byte-identical v1 reply.
+		reply.Window = sess.window
 	}
-	lines := make(chan line)
-	recvDone := make(chan error, 1)
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			msg, err := lo.tr.recv()
-			if err != nil {
-				var g *garbageError
-				if errors.As(err, &g) {
-					// Tolerable: hand it to the main loop for a budget
-					// charge and keep reading.
-					select {
-					case lines <- line{err: g}:
-						continue
-					case <-stop:
-						return
-					}
-				}
-				recvDone <- err
-				return
-			}
-			select {
-			case lines <- line{msg: msg}:
-			case <-stop:
-				return
-			}
+	if err := lo.tr.send(reply); err != nil {
+		return err
+	}
+	var in chan muxItem
+	var term *error
+	if !lockstep {
+		in, term = lo.in, lo.term
+		if in == nil {
+			in, term = make(chan muxItem), new(error)
+			stop := make(chan struct{})
+			defer close(stop)
+			go pump(lo.tr, in, term, stop)
 		}
-	}()
+	}
 
-	outstanding := map[int]evalReq{}
+	m := s.m()
+	// out holds the configurations awaiting reports with their correlation
+	// ids (always 0 at window 1, where none goes on the wire). A value
+	// array, not a map: it stays on the stack at small windows.
+	type flight struct {
+		id  int
+		req evalReq
+	}
+	var buf [4]flight
+	out := buf[:0]
 	credits := 0 // fetches received and not yet answered
 	nextID := 0
 	defer func() {
 		// A session dying with configurations in flight must not leak
 		// pipeline depth on the gauge.
-		for range outstanding {
+		for range out {
 			m.SessionOutstanding.Dec()
 		}
 	}()
+	// settle retires out[i] and hands its score to the waiting kernel call.
+	settle := func(i int, perf float64) {
+		req := out[i].req
+		out[i] = out[len(out)-1]
+		out = out[:len(out)-1]
+		sess.state.outstanding.Store(int64(len(out)))
+		m.SessionOutstanding.Dec()
+		req.reply <- perf // buffered: the kernel picks it up
+	}
 	for {
-		// Arms are enabled only when legal: the kernel's next point needs
-		// a credit and window room; the final best needs a credit to
-		// answer (the kernel only finishes after every outstanding report
-		// arrived, so best never overtakes one).
-		var evalC chan evalReq
-		if credits > 0 && len(outstanding) < sess.window {
-			evalC = sess.evals
-		}
-		var resC chan *search.Result
-		if credits > 0 {
-			resC = sess.resultCh
-		}
-		select {
-		case ln := <-lines:
-			if ln.err != nil {
-				if terr := lo.tolerate(ln.err.Error()); terr != nil {
-					return lo.fail(terr.Error())
+		var it muxItem
+		if lockstep && credits == 0 {
+			msg, err := lo.tr.recv()
+			if err != nil {
+				var g *garbageError
+				if !errors.As(err, &g) {
+					return s.recvEnd(err, lo)
+				}
+				it.err = g
+			}
+			it.m = msg
+		} else {
+			// Arms are enabled only when legal: the kernel's next point needs
+			// a credit and window room; the final best needs a credit to
+			// answer (the kernel only finishes after every outstanding report
+			// arrived, so best never overtakes one). A lockstep session with
+			// a credit waits on the kernel alone (in is nil).
+			var evalC chan evalReq
+			var resC chan *search.Result
+			if credits > 0 {
+				resC = sess.resultCh
+				if len(out) < sess.window {
+					evalC = sess.evals
+				}
+			}
+			var ok bool
+			select {
+			case it, ok = <-in:
+				if !ok {
+					return s.recvEnd(*term, lo)
+				}
+			case req := <-evalC:
+				credits--
+				cfg := message{Op: "config", Values: req.cfg, Fidelity: req.fidelity}
+				if !lockstep {
+					cfg.id, cfg.hasID = nextID, true
+					nextID++
+				}
+				out = append(out, flight{cfg.id, req})
+				sess.state.outstanding.Store(int64(len(out)))
+				m.ConfigsServed.Inc(lo.shard)
+				m.SessionOutstanding.Inc()
+				m.BatchSize.Observe(float64(len(out)))
+				if err := lo.tr.send(cfg); err != nil {
+					return err
 				}
 				continue
+			case res := <-resC:
+				best := message{Op: "best", Evals: res.Evals, Perf: res.BestPerf}
+				if len(res.BestConfig) > 0 {
+					best.Values = sess.bestToWire(res.BestConfig)
+				}
+				err := lo.tr.send(best)
+				if err == nil {
+					sess.end.Completed = true
+				}
+				return err
+			case err := <-sess.errCh:
+				return lo.fail(err.Error())
 			}
-			switch ln.msg.Op {
-			case "fetch":
-				credits++
-			case "report":
-				if !ln.msg.hasID {
-					if terr := lo.tolerate("report without id in a pipelined session"); terr != nil {
-						return lo.fail(terr.Error())
-					}
-					continue
-				}
-				req, ok := outstanding[ln.msg.id]
-				if !ok {
-					if terr := lo.tolerate(fmt.Sprintf("report for unknown id %d", ln.msg.id)); terr != nil {
-						return lo.fail(terr.Error())
-					}
-					continue
-				}
-				perf := ln.msg.Perf
-				if search.IsFailure(perf, sess.dir) {
-					if terr := lo.tolerate(fmt.Sprintf("non-finite performance report %v", perf)); terr != nil {
-						return lo.fail(terr.Error())
-					}
-					perf = sess.penalty
-				} else {
-					perf = search.Sanitize(perf, sess.dir)
-				}
-				delete(outstanding, ln.msg.id)
-				sess.state.outstanding.Store(int64(len(outstanding)))
-				m.SessionOutstanding.Dec()
-				m.ReportsReceived.Inc(lo.shard)
-				sess.noteChars(ln.msg.Characteristics)
-				req.reply <- perf // buffered: the kernel picks it up
-			case "quit":
-				if lo.acks() {
-					lo.send(message{Op: "ok"}) //nolint:errcheck // closing anyway
-				}
-				return nil
-			default:
-				return lo.fail(fmt.Sprintf("unknown op %q", ln.msg.Op))
-			}
-		case req := <-evalC:
-			id := nextID
-			nextID++
-			credits--
-			outstanding[id] = req
-			sess.state.outstanding.Store(int64(len(outstanding)))
-			m.ConfigsServed.Inc(lo.shard)
-			m.SessionOutstanding.Inc()
-			m.BatchSize.Observe(float64(len(outstanding)))
-			if err := lo.send(message{Op: "config", id: id, hasID: true, Values: req.cfg, Fidelity: req.fidelity}); err != nil {
+		}
+
+		if it.err != nil {
+			// Garbage on the wire: skip the line or frame and charge the
+			// budget instead of killing a session that may hold hours of
+			// tuning progress.
+			if err := lo.charge(it.err.Error()); err != nil {
 				return err
 			}
-		case res := <-resC:
-			err := s.sendBest(lo.send, sess, res)
-			if err == nil {
-				end.Completed = true
+			continue
+		}
+		switch it.m.Op {
+		case "fetch":
+			if lockstep && len(out) > 0 {
+				// The report never arrived (the measurement crashed, or the
+				// report line was garbage and got skipped): mark the pending
+				// point failed with the worst-case penalty so the simplex
+				// moves on, charge one fault, and serve the fetch.
+				if err := lo.charge("fetch while a report is pending — scoring the lost point as failed"); err != nil {
+					return err
+				}
+				settle(0, sess.penalty)
 			}
-			return err
-		case err := <-sess.errCh:
-			return lo.fail(err.Error())
-		case err := <-recvDone:
-			return s.recvEnd(err, lo)
+			credits++
+		case "report":
+			i := 0
+			switch {
+			case lockstep:
+				if len(out) == 0 {
+					return lo.fail("report without a pending configuration")
+				}
+			case !it.m.hasID:
+				if err := lo.charge("report without id in a pipelined session"); err != nil {
+					return err
+				}
+				continue
+			default:
+				id := it.m.id
+				if i = slices.IndexFunc(out, func(f flight) bool { return f.id == id }); i < 0 {
+					if err := lo.charge(fmt.Sprintf("report for unknown id %d", it.m.id)); err != nil {
+						return err
+					}
+					continue
+				}
+			}
+			perf := it.m.Perf
+			if search.IsFailure(perf, sess.dir) {
+				// A non-finite (or absurd) report marks the point failed:
+				// worst-case penalty, one fault charged.
+				if err := lo.charge(fmt.Sprintf("non-finite performance report %v", perf)); err != nil {
+					return err
+				}
+				perf = sess.penalty
+			} else {
+				perf = search.Sanitize(perf, sess.dir)
+			}
+			m.ReportsReceived.Inc(lo.shard)
+			sess.noteChars(it.m.Characteristics)
+			settle(i, perf)
+			if lockstep && lo.acks() {
+				if err := lo.tr.send(message{Op: "ok"}); err != nil {
+					return err
+				}
+			}
+		case "quit":
+			if lo.acks() {
+				lo.tr.send(message{Op: "ok"}) //nolint:errcheck // closing anyway
+			}
+			return nil
+		default:
+			return lo.fail(fmt.Sprintf("unknown op %q", it.m.Op))
 		}
 	}
 }
 
-func (s *Server) sendBest(send func(message) error, sess *session, res *search.Result) error {
-	m := message{Op: "best", Evals: res.Evals, Perf: res.BestPerf}
-	if len(res.BestConfig) > 0 {
-		m.Values = sess.bestToWire(res.BestConfig)
+// pump is a plain connection's reader goroutine for a window > 1 session:
+// it feeds decoded messages (and tolerable garbage) into in until the
+// transport's terminal condition, which it stores in *term before closing
+// in. It stops early when stop closes.
+func pump(tr transport, in chan<- muxItem, term *error, stop <-chan struct{}) {
+	for {
+		msg, err := tr.recv()
+		it := muxItem{m: msg}
+		if err != nil {
+			var g *garbageError
+			if !errors.As(err, &g) {
+				*term = err
+				close(in)
+				return
+			}
+			it.err = g
+		}
+		select {
+		case in <- it:
+		case <-stop:
+			return
+		}
 	}
-	return send(m)
 }
 
-// startSession parses the registration, builds the search space (using the
-// Appendix B adapter for restricted specs) and launches the kernel
-// goroutine.
-func (s *Server) startSession(reg message, id string, st *sessionState, log *slog.Logger) (*session, error) {
+// startSession parses the registration, builds the session's search space
+// (using the Appendix B adapter for restricted specs) and launches its
+// kernel goroutine.
+func (s *Server) startSession(sess *session, reg message) error {
+	id, st, log := sess.id, sess.state, sess.log
 	spec, err := rsl.Parse(reg.RSL)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	dir := search.Maximize
 	switch reg.Direction {
@@ -1158,7 +1144,7 @@ func (s *Server) startSession(reg message, id string, st *sessionState, log *slo
 	case "min":
 		dir = search.Minimize
 	default:
-		return nil, fmt.Errorf("server: unknown direction %q", reg.Direction)
+		return fmt.Errorf("server: unknown direction %q", reg.Direction)
 	}
 	maxEvals := reg.MaxEvals
 	if maxEvals <= 0 || maxEvals > s.MaxEvalsCap {
@@ -1173,18 +1159,14 @@ func (s *Server) startSession(reg message, id string, st *sessionState, log *slo
 		}
 	}
 
-	sess := &session{
-		names:      spec.Names(),
-		dir:        dir,
-		penalty:    search.FailurePenalty(dir),
-		window:     window,
-		evals:      make(chan evalReq),
-		resultCh:   make(chan *search.Result, 1),
-		errCh:      make(chan error, 1),
-		abort:      make(chan struct{}),
-		kernelDone: make(chan struct{}),
-		state:      st,
-	}
+	sess.names = spec.Names()
+	sess.dir = dir
+	sess.penalty = search.FailurePenalty(dir)
+	sess.window = window
+	sess.evals = make(chan evalReq)
+	sess.resultCh = make(chan *search.Result, 1)
+	sess.errCh = make(chan error, 1)
+	sess.abort = make(chan struct{})
 
 	// The inversion objective: hand the configuration to the message loop
 	// and block until the client reports its performance. Each call
@@ -1232,7 +1214,7 @@ func (s *Server) startSession(reg message, id string, st *sessionState, log *slo
 		// Search normalized coordinates; decode before the client sees them.
 		adapterSpace, _, err := spec.SearchAdapter(nil, 64)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		space = adapterSpace
 		g := float64(adapterSpace.Params[0].Max)
@@ -1254,7 +1236,7 @@ func (s *Server) startSession(reg message, id string, st *sessionState, log *slo
 	} else {
 		space, err = spec.Static()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		sess.bestToWire = func(cfg search.Config) []int { return cfg }
 		obj = search.FidelityObjectiveFunc(blockMeasure)
@@ -1318,6 +1300,7 @@ func (s *Server) startSession(reg message, id string, st *sessionState, log *slo
 		ev.External = layer
 	}
 
+	sess.kernelDone = make(chan struct{})
 	go func() {
 		defer close(sess.kernelDone)
 		// The kernel's last ExtraRestart poll happens inside the search
@@ -1458,15 +1441,15 @@ func (s *Server) startSession(reg message, id string, st *sessionState, log *slo
 		sess.deposited = store.Record(key, depositChars, dir, res.Trace[depositedThrough:].Measured())
 		sess.resultCh <- res
 	}()
-	return sess, nil
+	return nil
 }
 
 // ListenAndServe is a convenience for main functions: listen and block until
-// the server is shut down. When neither Logger nor the deprecated Logf is
-// configured, it installs the obs default (structured text on stderr) —
-// a daemon should never run blind.
+// the server is shut down. When no Logger is configured, it installs the
+// obs default (structured text on stderr) — a daemon should never run
+// blind.
 func (s *Server) ListenAndServe(addr string) error {
-	if s.Logger == nil && s.Logf == nil {
+	if s.Logger == nil {
 		s.Logger = obs.Default() // before Listen: handlers read it unlocked
 	}
 	a, err := s.Listen(addr)

@@ -132,9 +132,11 @@ type transport interface {
 	send(m message) error
 }
 
-// batchTransport is the coalescing extension: queue several messages and
-// flush once — one socket write for a v3 report+fetch exchange.
+// batchTransport is a transport that can also coalesce: queue several
+// messages and flush once — one socket write for a v3 report+fetch
+// exchange. Every client transport is one.
 type batchTransport interface {
+	transport
 	sendBatch(ms ...message) error
 }
 
@@ -177,23 +179,11 @@ func (t *jsonWire) recv() (message, error) {
 	return m, nil
 }
 
-func (t *jsonWire) send(m message) error {
-	b, err := encode(m)
-	if err != nil {
-		return err
-	}
-	if t.beforeWrite != nil {
-		t.beforeWrite()
-	}
-	if _, err := t.w.Write(b); err != nil {
-		return err
-	}
-	return t.w.Flush()
-}
+func (t *jsonWire) send(m message) error { return t.sendBatch(m) }
 
-// sendBatch on the JSON framing exists for interface symmetry: the v1
-// exchange acknowledges reports, so callers never coalesce there, but a
-// caller that does gets correct (line-per-message) bytes.
+// sendBatch writes one line per message and flushes once. The lockstep v1
+// exchange acknowledges reports, so only a pipelined client's report+fetch
+// pair coalesces here.
 func (t *jsonWire) sendBatch(ms ...message) error {
 	if t.beforeWrite != nil {
 		t.beforeWrite()
@@ -234,15 +224,7 @@ func (t *binWire) recv() (message, error) {
 	return t.fr.read()
 }
 
-func (t *binWire) send(m message) error {
-	if t.beforeWrite != nil {
-		t.beforeWrite()
-	}
-	if err := t.fw.append(m); err != nil {
-		return err
-	}
-	return t.fw.w.Flush()
-}
+func (t *binWire) send(m message) error { return t.sendBatch(m) }
 
 func (t *binWire) sendBatch(ms ...message) error {
 	if t.beforeWrite != nil {
