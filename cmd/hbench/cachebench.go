@@ -3,7 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"sync/atomic"
 	"time"
 
@@ -87,8 +87,8 @@ func cacheBenchSessionNames() []string {
 // cacheBench runs the schedule under off/exact/gated measure-once layers
 // against a deterministic target (the fifteen-parameter synthetic model or
 // the ten-parameter web cluster with content-seeded variation) and writes
-// the comparison as JSON on stdout.
-func cacheBench(rt *obs.Runtime, target string, seed uint64, budget int, latency time.Duration, truthEvery int) error {
+// the comparison as JSON to w.
+func cacheBench(rt *obs.Runtime, w io.Writer, target string, seed uint64, budget int, latency time.Duration, truthEvery int) error {
 	var (
 		space *search.Space
 		eval  func(cfg search.Config) float64
@@ -204,7 +204,7 @@ func cacheBench(rt *obs.Runtime, target string, seed uint64, budget int, latency
 			"truth_checks", m.TruthChecks)
 	}
 
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
 }

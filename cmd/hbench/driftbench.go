@@ -3,7 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 
 	"harmony/internal/obs"
 	"harmony/internal/search"
@@ -150,8 +150,8 @@ func (w warmRetuneInit) Initial(space *search.Space) [][]float64 {
 const driftBenchEpisodes = 6
 
 // driftBench runs the drift-recovery comparison and writes BENCH_drift.json
-// on stdout. budget is the post-detection measurement allowance per policy.
-func driftBench(rt *obs.Runtime, seed uint64, budget int) error {
+// to w. budget is the post-detection measurement allowance per policy.
+func driftBench(rt *obs.Runtime, w io.Writer, seed uint64, budget int) error {
 	const cost = 60.0 // one measurement = one minute of workload time
 	space := webservice.Space()
 	dim := space.Dim()
@@ -233,7 +233,7 @@ func driftBench(rt *obs.Runtime, seed uint64, budget int) error {
 		"saving", fmt.Sprintf("%.3f", rep.WarmVsColdSaving),
 		"stationary_identical", ident)
 
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
 }

@@ -3,7 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"sort"
 	"time"
 
@@ -113,8 +113,8 @@ func bestConfigs(tr search.Trace, dir search.Direction, keep int) []search.Confi
 // fidelityBench tunes the web cluster twice — cold full-fidelity simplex,
 // then prior-seeded Hyperband, where the prior is the baseline session's
 // deposited experience (the paper's prior-run reuse, collapsed into one
-// process) — and writes the comparison as JSON on stdout.
-func fidelityBench(rt *obs.Runtime, workload string, seed uint64, budget int) error {
+// process) — and writes the comparison as JSON to w.
+func fidelityBench(rt *obs.Runtime, w io.Writer, workload string, seed uint64, budget int) error {
 	var mix tpcw.Mix
 	switch workload {
 	case "browsing":
@@ -226,7 +226,7 @@ func fidelityBench(rt *obs.Runtime, workload string, seed uint64, budget int) er
 		"saved_seconds_frac", fmt.Sprintf("%.3f", rep.SavedSecondsFrac),
 		"best_gap_frac", fmt.Sprintf("%.4f", rep.BestGapFrac))
 
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
 }
