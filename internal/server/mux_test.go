@@ -53,11 +53,13 @@ func (c *captureConn) Read(p []byte) (int, error) {
 }
 
 func (c *captureConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
+	// Record before writing: once the bytes are on the wire the peer may
+	// answer, and the test may take its snapshot, before a writer goroutine
+	// (the mux's corked writer) gets to record them.
 	c.mu.Lock()
-	c.wrote.Write(p[:n])
+	c.wrote.Write(p)
 	c.mu.Unlock()
-	return n, err
+	return c.Conn.Write(p)
 }
 
 func (c *captureConn) snapshot() (toServer, toClient []byte) {
