@@ -27,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -119,7 +120,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		if err := trajectory(rt, *target, *workload, *budget, *improved, *seed, *workers, *latency); err != nil {
+		if err := trajectory(rt, os.Stdout, *target, *workload, *budget, *improved, *seed, *workers, *latency); err != nil {
 			rt.Logger.Error("trajectory failed", "target", *target, "err", err)
 			rt.Close()
 			os.Exit(1)
@@ -151,7 +152,7 @@ func main() {
 }
 
 // trajectory runs one tuning session against the named target and streams
-// the per-iteration records as JSONL on stdout. The full typed event trace
+// the per-iteration records as JSONL to w. The full typed event trace
 // additionally lands in -trace-out when set.
 //
 // With -workers > 1 the session runs on the parallel simplex kernel: the
@@ -164,7 +165,7 @@ func main() {
 // kernel, which walks a different — more parallel — path over the same
 // surface, trading per-iteration round-trips for wall-clock, which
 // -latency makes visible by simulating a slow benchmark harness.
-func trajectory(rt *obs.Runtime, target, workload string, budget int, improved bool, seed uint64, workers int, latency time.Duration) error {
+func trajectory(rt *obs.Runtime, w io.Writer, target, workload string, budget int, improved bool, seed uint64, workers int, latency time.Duration) error {
 	var (
 		space *search.Space
 		obj   search.Objective
@@ -195,9 +196,9 @@ func trajectory(rt *obs.Runtime, target, workload string, budget int, improved b
 			return err
 		}
 		space = model.TunableSpace()
-		w := model.WorkloadSpace().DefaultConfig()
+		wl := model.WorkloadSpace().DefaultConfig()
 		obj = search.Failable(func(cfg search.Config) (float64, error) {
-			return model.Eval(cfg, w)
+			return model.Eval(cfg, wl)
 		}, dir)
 		if workers > 1 {
 			// The synthetic model is not audited for concurrent use;
@@ -216,7 +217,7 @@ func trajectory(rt *obs.Runtime, target, workload string, budget int, improved b
 		})
 	}
 
-	traj := obs.NewTrajectoryJSONL(os.Stdout, dir)
+	traj := obs.NewTrajectoryJSONL(w, dir)
 	tracer := search.MultiTracer(traj, rt.Tracer())
 
 	tuner := core.New(space, obj)

@@ -94,11 +94,11 @@ type Status struct {
 // centroid. Safe for concurrent use: the connection's message loop
 // observes while the kernel goroutine reads and rebases.
 type Detector struct {
-	mu   sync.Mutex
-	opts Options
-	ref  []float64
-	live []float64
-	n    int
+	mu     sync.Mutex
+	opts   Options
+	ref    []float64
+	live   []float64
+	n      int
 	over   int // consecutive over-threshold observations
 	armed  bool
 	drifts int

@@ -21,6 +21,13 @@
 //     k-NN vertices are close and the hyperplane fit is tight, falling back
 //     to a real measurement otherwise.
 //
+// Layer binds the memo and the gate to one evaluator through the single
+// search.ExternalCache interface, whose Lookup and Measure take a
+// fidelity. Full fidelity (0) uses the plain configuration key; a
+// reduced-fidelity sample is keyed on (configuration, fidelity), is
+// answered by a full-fidelity truth when one exists, and never reaches the
+// gate.
+//
 // Exact-only caching is trajectory-preserving: for deterministic objectives
 // the committed tuning trajectory is identical to an uncached run — only
 // the number of real objective invocations drops. The estimation gate

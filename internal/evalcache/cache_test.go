@@ -75,8 +75,8 @@ func TestDoSingleflight(t *testing.T) {
 
 	const n = 8
 	var calls atomic.Int32
-	started := make(chan struct{})  // leader entered measure
-	release := make(chan struct{})  // allow the leader to finish
+	started := make(chan struct{}) // leader entered measure
+	release := make(chan struct{}) // allow the leader to finish
 	measure := func() float64 {
 		calls.Add(1)
 		close(started)

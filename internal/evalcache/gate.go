@@ -349,10 +349,20 @@ type Layer struct {
 }
 
 // Lookup implements search.ExternalCache: exact memo first, then the gate.
-func (l *Layer) Lookup(cfg search.Config) (perf float64, estimated, ok bool) {
+// Reuse is promotion-aware: a full-fidelity truth in the memo answers a
+// reduced-fidelity probe (the real number is strictly better information
+// than a noisy short run), but a reduced-fidelity entry only ever answers
+// its own (config, fidelity) pair — it is never promoted to a
+// full-fidelity answer. The estimation gate is a full-fidelity instrument
+// and stays out of reduced-fidelity probes entirely.
+func (l *Layer) Lookup(cfg search.Config, fidelity float64) (perf float64, estimated, ok bool) {
 	key := cfg.Key()
 	if perf, ok := l.Cache.Lookup(key); ok {
 		return perf, false, true
+	}
+	if !search.FullFidelity(fidelity) {
+		perf, ok := l.Cache.Lookup(fidelityKey(key, fidelity))
+		return perf, false, ok
 	}
 	if l.Gate != nil {
 		if perf, ok := l.Gate.Estimate(cfg); ok {
@@ -393,12 +403,17 @@ func (l *Layer) takeTruthCheck(key string, est float64) bool {
 }
 
 // Measure implements search.ExternalCache: singleflight through the shared
-// cache, feeding the measured truth to the gate.
-func (l *Layer) Measure(cfg search.Config, measure func() float64) float64 {
-	key := cfg.Key()
+// cache keyed on (config, fidelity), feeding a measured full-fidelity truth
+// to the gate. Reduced-fidelity observations never feed the gate (its
+// plane is fitted through ground truth only) and are never truth checks.
+func (l *Layer) Measure(cfg search.Config, fidelity float64, measure func() float64) float64 {
+	key := fidelityKey(cfg.Key(), fidelity)
 	perf, _, err := l.Cache.Do(key, measure, l.Cancel)
 	if err != nil {
 		panic(err) // ErrCanceled: the session is going away
+	}
+	if !search.FullFidelity(fidelity) {
+		return perf
 	}
 	if l.Gate != nil {
 		l.Gate.Observe(cfg, perf)
@@ -432,41 +447,6 @@ func fidelityKey(key string, fidelity float64) string {
 		return key
 	}
 	return key + "@" + strconv.FormatFloat(fidelity, 'g', -1, 64)
-}
-
-// LookupAt implements search.FidelityExternalCache with promotion-aware
-// reuse: a full-fidelity truth in the memo answers a reduced-fidelity
-// probe (the real number is strictly better information than a noisy
-// short run), but a reduced-fidelity entry only ever answers its own
-// (config, fidelity) pair — it is never promoted to a full-fidelity
-// answer. The estimation gate is a full-fidelity instrument and stays out
-// of reduced-fidelity probes entirely.
-func (l *Layer) LookupAt(cfg search.Config, fidelity float64) (perf float64, estimated, ok bool) {
-	if search.FullFidelity(fidelity) {
-		return l.Lookup(cfg)
-	}
-	key := cfg.Key()
-	if perf, ok := l.Cache.Lookup(key); ok { // promoted full-fidelity truth
-		return perf, false, true
-	}
-	if perf, ok := l.Cache.Lookup(fidelityKey(key, fidelity)); ok {
-		return perf, false, true
-	}
-	return 0, false, false
-}
-
-// MeasureAt implements search.FidelityExternalCache: singleflight keyed on
-// (config, fidelity). Reduced-fidelity observations never feed the gate —
-// its plane is fitted through ground truth only.
-func (l *Layer) MeasureAt(cfg search.Config, fidelity float64, measure func() float64) float64 {
-	if search.FullFidelity(fidelity) {
-		return l.Measure(cfg, measure)
-	}
-	perf, _, err := l.Cache.Do(fidelityKey(cfg.Key(), fidelity), measure, l.Cancel)
-	if err != nil {
-		panic(err) // ErrCanceled: the session is going away
-	}
-	return perf
 }
 
 // Fill hydrates both the memo and the gate with a prior-run truth (the

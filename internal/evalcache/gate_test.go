@@ -153,7 +153,7 @@ func TestLayerTruthCheckCalibration(t *testing.T) {
 	layer := &Layer{Cache: New(0, 0, m), Gate: g, TruthCheckEvery: 2}
 
 	// 1st gated answer: estimated normally.
-	if _, estimated, ok := layer.Lookup(search.Config{52, 48}); !ok || !estimated {
+	if _, estimated, ok := layer.Lookup(search.Config{52, 48}, 0); !ok || !estimated {
 		t.Fatalf("first gated probe: ok=%v estimated=%v, want both true", ok, estimated)
 	}
 
@@ -161,12 +161,12 @@ func TestLayerTruthCheckCalibration(t *testing.T) {
 	// paid. The real surface is the plane plus a bias, so the error is the
 	// bias exactly.
 	target := search.Config{47, 53}
-	if _, _, ok := layer.Lookup(target); ok {
+	if _, _, ok := layer.Lookup(target, 0); ok {
 		t.Fatal("truth-checked probe was answered from the gate; want a forced miss")
 	}
 	const bias = 0.75
 	measured := 0
-	got := layer.Measure(target, func() float64 {
+	got := layer.Measure(target, 0, func() float64 {
 		measured++
 		return planar(target) + bias
 	})
@@ -185,12 +185,12 @@ func TestLayerTruthCheckCalibration(t *testing.T) {
 
 	// The measured truth is memoized: the same config is now an exact hit,
 	// not another estimate or measurement.
-	if _, estimated, ok := layer.Lookup(target); !ok || estimated {
+	if _, estimated, ok := layer.Lookup(target, 0); !ok || estimated {
 		t.Fatalf("post-check lookup: ok=%v estimated=%v, want exact hit", ok, estimated)
 	}
 
 	// A plain measurement with no pending check must not observe errors.
-	layer.Measure(search.Config{10, 10}, func() float64 { return 1 })
+	layer.Measure(search.Config{10, 10}, 0, func() float64 { return 1 })
 	if c := m.EstimateAbsError.Count(); c != 1 {
 		t.Fatalf("plain measurement polluted calibration: %d observations", c)
 	}
@@ -206,7 +206,7 @@ func TestLayerTruthCheckDisabledByDefault(t *testing.T) {
 	layer := &Layer{Cache: New(0, 0, m), Gate: g}
 
 	for i := 0; i < 5; i++ {
-		if _, estimated, ok := layer.Lookup(search.Config{51 + i, 49}); !ok || !estimated {
+		if _, estimated, ok := layer.Lookup(search.Config{51 + i, 49}, 0); !ok || !estimated {
 			t.Fatalf("probe %d: ok=%v estimated=%v, want gated answers throughout", i, ok, estimated)
 		}
 	}
@@ -325,7 +325,7 @@ func TestLayerTruthCheckFeedsAdaptation(t *testing.T) {
 	for _, dx := range []int{-10, -5, 0, 5, 10} {
 		for _, dy := range []int{-10, -5, 0, 5, 10} {
 			cfg := search.Config{50 + dx, 50 + dy}
-			l.Measure(cfg, func() float64 { return curved(cfg) })
+			l.Measure(cfg, 0, func() float64 { return curved(cfg) })
 		}
 	}
 	_, _, n0 := l.Gate.EffectiveThresholds()
@@ -333,11 +333,11 @@ func TestLayerTruthCheckFeedsAdaptation(t *testing.T) {
 	// measured for real, and the (large) relative error recorded.
 	probes := []search.Config{{51, 49}, {49, 51}, {52, 52}, {48, 49}, {51, 52}, {47, 52}}
 	for _, cfg := range probes {
-		if _, _, ok := l.Lookup(cfg); ok {
+		if _, _, ok := l.Lookup(cfg, 0); ok {
 			t.Fatalf("truth-check-every-1 lookup of %v was answered, want declined", cfg)
 		}
 		cfg := cfg
-		l.Measure(cfg, func() float64 { return curved(cfg) })
+		l.Measure(cfg, 0, func() float64 { return curved(cfg) })
 	}
 	if m.TruthChecks.Value() == 0 {
 		t.Fatal("no truth checks ran (gate never answered?)")

@@ -176,16 +176,16 @@ func TestLayerGateFallsBackToMeasurement(t *testing.T) {
 	}
 
 	cfg := search.Config{30, 30}
-	if _, _, ok := layer.Lookup(cfg); ok {
+	if _, _, ok := layer.Lookup(cfg, 0); ok {
 		t.Fatal("empty layer answered a probe")
 	}
 	measured := false
-	perf := layer.Measure(cfg, func() float64 { measured = true; return quad(cfg) })
+	perf := layer.Measure(cfg, 0, func() float64 { measured = true; return quad(cfg) })
 	if !measured || perf != quad(cfg) {
 		t.Fatalf("measure fallback: measured=%v perf=%v", measured, perf)
 	}
 	// The truth entered both the memo and the gate's record set.
-	if got, _, ok := layer.Lookup(cfg); !ok || got != perf {
+	if got, _, ok := layer.Lookup(cfg, 0); !ok || got != perf {
 		t.Fatalf("memo after measure: %v, %v", got, ok)
 	}
 	if layer.Gate.Len() != 1 {
@@ -207,11 +207,11 @@ func TestLayerGateAnswersWhenSupported(t *testing.T) {
 	for _, dx := range []int{-6, -3, 0, 3, 6} {
 		for _, dy := range []int{-6, -3, 0, 3, 6} {
 			cfg := search.Config{30 + dx, 30 + dy}
-			layer.Measure(cfg, func() float64 { return plane(cfg) })
+			layer.Measure(cfg, 0, func() float64 { return plane(cfg) })
 		}
 	}
 	target := search.Config{31, 29}
-	perf, estimated, ok := layer.Lookup(target)
+	perf, estimated, ok := layer.Lookup(target, 0)
 	if !ok || !estimated {
 		t.Fatalf("gate-backed lookup = (%v, estimated=%v, ok=%v), want estimated answer", perf, estimated, ok)
 	}
@@ -237,7 +237,7 @@ func TestLayerWarmFill(t *testing.T) {
 		Gate:  evalcache.NewGate(sp, evalcache.GateOptions{}, m),
 	}
 	layer.Fill(search.Config{7, 9}, 123)
-	if perf, est, ok := layer.Lookup(search.Config{7, 9}); !ok || est || perf != 123 {
+	if perf, est, ok := layer.Lookup(search.Config{7, 9}, 0); !ok || est || perf != 123 {
 		t.Fatalf("lookup after fill = (%v, %v, %v)", perf, est, ok)
 	}
 	if m.Fills.Value() != 1 {

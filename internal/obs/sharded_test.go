@@ -15,9 +15,9 @@ func TestShardedCounterSumsStripes(t *testing.T) {
 	c.Inc(0)
 	c.Inc(3)
 	c.Add(7, 5)
-	c.Add(8, 2)   // masks onto shard 0
-	c.Add(1, -4)  // ignored: monotone
-	c.Inc(-1)     // masked, not a panic
+	c.Add(8, 2)  // masks onto shard 0
+	c.Add(1, -4) // ignored: monotone
+	c.Inc(-1)    // masked, not a panic
 	if got := c.Value(); got != 10 {
 		t.Fatalf("Value() = %d, want 10", got)
 	}

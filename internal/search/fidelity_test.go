@@ -148,10 +148,12 @@ func TestTraceBestPrefersFullFidelity(t *testing.T) {
 	}
 }
 
-// fakeFidCache implements FidelityExternalCache and records routing.
+// fakeFidCache implements ExternalCache and records routing: full-fidelity
+// calls count as lookups/measures, reduced-fidelity ones as
+// lowLookups/lowMeasures.
 type fakeFidCache struct {
-	lookups, lookupAts, measures, measureAts int
-	store                                    map[string]float64
+	lookups, lowLookups, measures, lowMeasures int
+	store                                      map[string]float64
 }
 
 func (f *fakeFidCache) key(cfg Config, fid float64) string {
@@ -161,27 +163,22 @@ func (f *fakeFidCache) key(cfg Config, fid float64) string {
 	return cfg.Key() + "@low"
 }
 
-func (f *fakeFidCache) Lookup(cfg Config) (float64, bool, bool) {
-	f.lookups++
-	p, ok := f.store[cfg.Key()]
-	return p, false, ok
-}
-
-func (f *fakeFidCache) Measure(cfg Config, measure func() float64) float64 {
-	f.measures++
-	p := measure()
-	f.store[cfg.Key()] = p
-	return p
-}
-
-func (f *fakeFidCache) LookupAt(cfg Config, fid float64) (float64, bool, bool) {
-	f.lookupAts++
+func (f *fakeFidCache) Lookup(cfg Config, fid float64) (float64, bool, bool) {
+	if FullFidelity(fid) {
+		f.lookups++
+	} else {
+		f.lowLookups++
+	}
 	p, ok := f.store[f.key(cfg, fid)]
 	return p, false, ok
 }
 
-func (f *fakeFidCache) MeasureAt(cfg Config, fid float64, measure func() float64) float64 {
-	f.measureAts++
+func (f *fakeFidCache) Measure(cfg Config, fid float64, measure func() float64) float64 {
+	if FullFidelity(fid) {
+		f.measures++
+	} else {
+		f.lowMeasures++
+	}
 	p := measure()
 	f.store[f.key(cfg, fid)] = p
 	return p
@@ -196,8 +193,8 @@ func TestEvalConfigAtRoutesThroughFidelityExternal(t *testing.T) {
 	if _, _, err := ev.EvalConfigAt(Config{1, 2}, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if ext.lookupAts != 1 || ext.measureAts != 1 {
-		t.Fatalf("routing: lookupAts=%d measureAts=%d, want 1/1", ext.lookupAts, ext.measureAts)
+	if ext.lowLookups != 1 || ext.lowMeasures != 1 {
+		t.Fatalf("routing: lowLookups=%d lowMeasures=%d, want 1/1", ext.lowLookups, ext.lowMeasures)
 	}
 	if ext.lookups != 0 || ext.measures != 0 {
 		t.Fatalf("full-fidelity external path used for a low probe (%d/%d)", ext.lookups, ext.measures)
@@ -205,28 +202,4 @@ func TestEvalConfigAtRoutesThroughFidelityExternal(t *testing.T) {
 	if obj.low != 1 {
 		t.Fatalf("objective low calls = %d, want 1", obj.low)
 	}
-
-	// An External that is NOT fidelity-aware is bypassed for low probes.
-	obj2 := &countingFidObjective{}
-	ev2 := NewEvaluator(fidelitySpace(), obj2)
-	ev2.External = plainExternal{store: map[string]float64{}}
-	if _, _, err := ev2.EvalConfigAt(Config{1, 2}, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if obj2.low != 1 {
-		t.Fatalf("plain external: objective low calls = %d, want 1 (direct measurement)", obj2.low)
-	}
-}
-
-type plainExternal struct{ store map[string]float64 }
-
-func (p plainExternal) Lookup(cfg Config) (float64, bool, bool) {
-	v, ok := p.store[cfg.Key()]
-	return v, false, ok
-}
-
-func (p plainExternal) Measure(cfg Config, measure func() float64) float64 {
-	v := measure()
-	p.store[cfg.Key()] = v
-	return v
 }

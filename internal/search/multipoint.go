@@ -54,125 +54,10 @@ func (o NelderMeadOptions) pbest(dim int) int {
 // at dim/2, so 2- and 3-dimensional sessions fall back to the speculative
 // kernel whose results are identical to sequential.
 func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p int) (*Result, error) {
-	dim := space.Dim()
-	dir := opts.Direction
-
-	initPts := opts.Init.Initial(space)
-	if len(initPts) != dim+1 {
-		return nil, fmt.Errorf("search: init strategy %q produced %d vertices, want %d",
-			opts.Init.Name(), len(initPts), dim+1)
-	}
-	clamped := make([][]float64, len(initPts))
-	for i, pt := range initPts {
-		clamped[i] = clampPoint(space, pt)
-	}
-	_, initPerfs, err := ev.EvalBatch(clamped, opts.Parallel)
-	budgetHit := err == ErrBudget
-	if err != nil && !budgetHit {
-		return nil, err
-	}
-	verts := make([]vertex, 0, dim+1)
-	for i, perf := range initPerfs {
-		verts = append(verts, vertex{pt: clamped[i], perf: perf})
-	}
-
-	result := func(converged bool) *Result {
-		tr := ev.Trace()
-		if len(tr) == 0 {
-			return &Result{Trace: tr, Evals: 0, Converged: converged}
-		}
-		best := tr.Best(dir)
-		return &Result{
-			BestConfig: best.Config.Clone(),
-			BestPerf:   best.Perf,
-			Trace:      tr,
-			Evals:      ev.Count(),
-			Converged:  converged,
-		}
-	}
-	finish := func(reason string, iter int, converged bool) *Result {
-		res := result(converged)
-		emit(opts.Tracer, Event{
-			Type: EventConverge, Op: reason, Iter: iter,
-			Perf: res.BestPerf, Config: res.BestConfig,
-			Note: fmt.Sprintf("evals=%d pbest=%d", res.Evals, p),
-		})
-		return res
-	}
-	if budgetHit || len(verts) < dim+1 {
-		return finish("init_budget", 0, false), nil
-	}
-
-	// converge ends the coarse walk. Leftover budget — the wide walk
-	// typically converges in fewer evaluations than the sequential kernel
-	// spends — funds a polish restart on the speculative kernel at reduced
-	// scale around the incumbent best.
-	converge := func(reason string, iter int) (*Result, error) {
-		res := finish(reason, iter, true)
-		if ev.MaxEvals <= 0 || len(res.BestConfig) == 0 {
-			return res, nil
-		}
-		remaining := ev.MaxEvals - ev.Count()
-		if remaining < dim+1 {
-			return res, nil
-		}
-		emit(opts.Tracer, Event{
-			Type: EventPhase, Op: "polish", Iter: iter, Perf: res.BestPerf,
-			Note: fmt.Sprintf("remaining=%d frac=%v", remaining, polishFrac),
-		})
-		polishOpts := opts
-		polishOpts.Init = scaledInit{center: space.Continuous(res.BestConfig), frac: polishFrac}
-		pres, err := nelderMeadSingle(space, ev, polishOpts)
-		if err != nil {
-			return nil, err
-		}
-		// The coarse walk converged; the polish merely spends what was
-		// left, so running out of budget mid-polish is still convergence.
-		pres.Converged = true
-		return pres, nil
-	}
-
-	better := func(a, b float64) bool { return dir.Better(a, b) }
-	sortVerts := func() { sortVertices(verts, better) }
-	sortVerts()
-
-	step := func(op string, iter int, perf float64, note string) {
-		emit(opts.Tracer, Event{Type: EventSimplex, Op: op, Iter: iter, Perf: perf, Note: note})
-	}
-
-	stall := 0
-	prevBest := verts[0].perf
-	for iter := 0; ; iter++ {
-		bestV, worstV := verts[0].perf, verts[len(verts)-1].perf
-		spread := abs(bestV - worstV)
-		scale := abs(bestV) + abs(worstV)
-		if scale > 0 && spread/scale < opts.RelTol {
-			return converge("reltol", iter)
-		}
-		if stall >= opts.MaxStall {
-			return converge("stall", iter)
-		}
-
+	res, iter, err := runSimplex(space, ev, opts, fmt.Sprintf(" pbest=%d", p), func(s *simplex, iter int) bool {
+		verts := s.verts
 		// Centroid of everything except the p vertices being updated.
-		keep := len(verts) - p
-		centroid := make([]float64, dim)
-		for _, v := range verts[:keep] {
-			for j := range centroid {
-				centroid[j] += v.pt[j]
-			}
-		}
-		for j := range centroid {
-			centroid[j] /= float64(keep)
-		}
-
-		// move computes centroid + coef*(centroid - from), clamped.
-		move := func(from []float64, coef float64) []float64 {
-			pt := make([]float64, dim)
-			for j := range pt {
-				pt[j] = centroid[j] + coef*(centroid[j]-from[j])
-			}
-			return clampPoint(space, pt)
-		}
+		centroid := s.centroid(len(verts) - p)
 
 		// One concurrent round measures every candidate the iteration can
 		// commit: the reflection and the inside contraction of each of the
@@ -183,13 +68,13 @@ func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p
 		batch := make([][]float64, 0, 2*p)
 		for j := 0; j < p; j++ {
 			w := verts[len(verts)-1-j]
-			reflPts[j] = move(w.pt, opts.Reflection)
-			contrPts[j] = move(w.pt, -opts.Contraction)
+			reflPts[j] = clampPoint(space, moveFrom(centroid, w.pt, opts.Reflection))
+			contrPts[j] = clampPoint(space, moveFrom(centroid, w.pt, -opts.Contraction))
 			batch = append(batch, reflPts[j], contrPts[j])
 		}
 		_, perfs, err := ev.EvalBatch(batch, opts.Parallel)
 		if err != nil || len(perfs) < len(batch) {
-			return finish("budget", iter, false), nil
+			return false
 		}
 
 		// Commit the p updates: reflection if it beats the vertex, else
@@ -200,46 +85,46 @@ func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p
 			w := verts[idx]
 			rPerf, cPerf := perfs[2*j], perfs[2*j+1]
 			switch {
-			case better(rPerf, w.perf):
-				step(OpReflect, iter, rPerf, fmt.Sprintf("vertex %d accepted", idx))
+			case s.better(rPerf, w.perf):
+				s.step(OpReflect, iter, rPerf, fmt.Sprintf("vertex %d accepted", idx))
 				verts[idx] = vertex{pt: reflPts[j], perf: rPerf}
 				improved = true
-			case better(cPerf, w.perf):
-				step(OpContractIn, iter, cPerf, fmt.Sprintf("vertex %d accepted", idx))
+			case s.better(cPerf, w.perf):
+				s.step(OpContractIn, iter, cPerf, fmt.Sprintf("vertex %d accepted", idx))
 				verts[idx] = vertex{pt: contrPts[j], perf: cPerf}
 				improved = true
 			default:
-				step(OpContractIn, iter, cPerf, fmt.Sprintf("vertex %d rejected", idx))
+				s.step(OpContractIn, iter, cPerf, fmt.Sprintf("vertex %d rejected", idx))
 			}
 		}
-
-		if !improved {
-			// Every update failed: shrink the whole simplex toward the best
-			// vertex — one more concurrent batch.
-			bestPt := verts[0].pt
-			shrunk := make([][]float64, 0, len(verts)-1)
-			for i := 1; i < len(verts); i++ {
-				for j := range verts[i].pt {
-					verts[i].pt[j] = bestPt[j] + opts.Shrink*(verts[i].pt[j]-bestPt[j])
-				}
-				shrunk = append(shrunk, verts[i].pt)
-			}
-			_, perfs, err := ev.EvalBatch(shrunk, opts.Parallel)
-			if err != nil || len(perfs) < len(shrunk) {
-				return finish("budget", iter, false), nil
-			}
-			for i := 1; i < len(verts); i++ {
-				verts[i].perf = perfs[i-1]
-			}
-			step(OpShrink, iter, verts[0].perf, fmt.Sprintf("re-measured %d vertices", len(shrunk)))
-		}
-
-		sortVerts()
-		if better(verts[0].perf, prevBest) {
-			prevBest = verts[0].perf
-			stall = 0
-		} else {
-			stall++
-		}
+		// Every update failed: shrink the whole simplex toward the best
+		// vertex — one more concurrent batch.
+		return improved || s.shrink(iter)
+	})
+	if err != nil || !res.Converged || ev.MaxEvals <= 0 || len(res.BestConfig) == 0 {
+		return res, err
 	}
+
+	// The coarse walk converged. Leftover budget — the wide walk typically
+	// converges in fewer evaluations than the sequential kernel spends —
+	// funds a polish restart on the speculative kernel at reduced scale
+	// around the incumbent best.
+	remaining := ev.MaxEvals - ev.Count()
+	if remaining < space.Dim()+1 {
+		return res, nil
+	}
+	emit(opts.Tracer, Event{
+		Type: EventPhase, Op: "polish", Iter: iter, Perf: res.BestPerf,
+		Note: fmt.Sprintf("remaining=%d frac=%v", remaining, polishFrac),
+	})
+	polishOpts := opts
+	polishOpts.Init = scaledInit{center: space.Continuous(res.BestConfig), frac: polishFrac}
+	pres, err := nelderMeadSingle(space, ev, polishOpts)
+	if err != nil {
+		return nil, err
+	}
+	// The polish merely spends what was left, so running out of budget
+	// mid-polish is still convergence.
+	pres.Converged = true
+	return pres, nil
 }

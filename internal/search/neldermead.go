@@ -151,52 +151,32 @@ func NelderMeadWithEvaluator(space *Space, ev *Evaluator, opts NelderMeadOptions
 
 // nelderMeadWithRestarts runs the kernel, then optionally restarts from the
 // best point found with progressively tighter fresh simplexes, sharing the
-// evaluator (budget, cache and trace accumulate across restarts).
+// evaluator (budget, cache and trace accumulate across restarts). The
+// planned Restarts come first; after them ExtraRestart is polled, so a
+// re-tune request arriving mid-run takes effect at the next natural
+// stopping point. Budget exhaustion (or an empty trace) ends both kinds:
+// restarting is futile then.
 func nelderMeadWithRestarts(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Result, error) {
 	res, err := nelderMead(space, ev, opts)
-	if err != nil {
-		return nil, err
-	}
 	scale := 0.5
-	for r := 0; r < opts.Restarts; r++ {
-		if !res.Converged || len(res.BestConfig) == 0 {
-			break // out of budget (or nothing measured): restarting is futile
+	for r := 1; err == nil && res.Converged && len(res.BestConfig) > 0; r++ {
+		switch {
+		case r <= opts.Restarts:
+			emit(opts.Tracer, Event{Type: EventPhase, Op: "restart", Iter: r, Perf: res.BestPerf})
+		case opts.ExtraRestart != nil && opts.ExtraRestart():
+			emit(opts.Tracer, Event{Type: EventPhase, Op: "retune", Perf: res.BestPerf})
+		default:
+			return res, nil
 		}
-		emit(opts.Tracer, Event{Type: EventPhase, Op: "restart", Iter: r + 1, Perf: res.BestPerf})
 		restartOpts := opts
 		restartOpts.Init = scaledInit{
 			center: space.Continuous(res.BestConfig),
 			frac:   scale,
 		}
-		next, err := nelderMead(space, ev, restartOpts)
-		if err != nil {
-			return nil, err
-		}
-		res = next // the shared trace already spans all restarts
+		res, err = nelderMead(space, ev, restartOpts) // the shared trace spans all restarts
 		scale /= 2
 	}
-	// Operator-driven extra restarts: polled only after convergence, so a
-	// re-tune request arriving mid-run takes effect at the next natural
-	// stopping point. Budget exhaustion ends the loop exactly like the
-	// planned restarts above.
-	for opts.ExtraRestart != nil && res.Converged && len(res.BestConfig) > 0 {
-		if !opts.ExtraRestart() {
-			break
-		}
-		emit(opts.Tracer, Event{Type: EventPhase, Op: "retune", Perf: res.BestPerf})
-		restartOpts := opts
-		restartOpts.Init = scaledInit{
-			center: space.Continuous(res.BestConfig),
-			frac:   scale,
-		}
-		next, err := nelderMead(space, ev, restartOpts)
-		if err != nil {
-			return nil, err
-		}
-		res = next
-		scale /= 2
-	}
-	return res, nil
+	return res, err
 }
 
 // scaledInit builds a distributed simplex spanning frac of each parameter's
@@ -236,20 +216,29 @@ func nelderMead(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Result, e
 	return nelderMeadSingle(space, ev, opts)
 }
 
-// nelderMeadSingle is the single-vertex simplex kernel. It commits the
-// sequential algorithm's trajectory; with opts.Parallel > 1 the initial
-// simplex and shrink steps are measured as one EvalBatch and each
-// iteration's candidates as one speculative round.
-func nelderMeadSingle(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Result, error) {
-	dim := space.Dim()
-	dir := opts.Direction
+// simplex is the scaffold the single-vertex and multi-point kernels share:
+// the vertex set (sorted best to worst between iterations) and the
+// evaluator that measures it.
+type simplex struct {
+	space *Space
+	ev    *Evaluator
+	opts  NelderMeadOptions
+	verts []vertex
+}
 
+// runSimplex measures the initial simplex as one batch, then calls iterate
+// once per iteration until the simplex converges — its relative spread
+// falls below RelTol, or MaxStall iterations pass without improving the
+// best vertex — or iterate reports the budget exhausted. It emits the
+// termination decision (with note appended to the evals count) and
+// returns the result and the final iteration.
+func runSimplex(space *Space, ev *Evaluator, opts NelderMeadOptions, note string, iterate func(s *simplex, iter int) bool) (*Result, int, error) {
+	dim := space.Dim()
 	initPts := opts.Init.Initial(space)
 	if len(initPts) != dim+1 {
-		return nil, fmt.Errorf("search: init strategy %q produced %d vertices, want %d",
+		return nil, 0, fmt.Errorf("search: init strategy %q produced %d vertices, want %d",
 			opts.Init.Name(), len(initPts), dim+1)
 	}
-
 	clamped := make([][]float64, len(initPts))
 	for i, pt := range initPts {
 		clamped[i] = clampPoint(space, pt)
@@ -257,92 +246,128 @@ func nelderMeadSingle(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Res
 	_, initPerfs, err := ev.EvalBatch(clamped, opts.Parallel)
 	budgetHit := err == ErrBudget
 	if err != nil && !budgetHit {
-		return nil, err
+		return nil, 0, err
 	}
-	verts := make([]vertex, 0, dim+1)
+	s := &simplex{space: space, ev: ev, opts: opts, verts: make([]vertex, 0, dim+1)}
 	for i, perf := range initPerfs {
-		verts = append(verts, vertex{pt: clamped[i], perf: perf})
+		s.verts = append(s.verts, vertex{pt: clamped[i], perf: perf})
 	}
 
-	result := func(converged bool) *Result {
-		tr := ev.Trace()
-		if len(tr) == 0 {
-			return &Result{Trace: tr, Evals: 0, Converged: converged}
-		}
-		best := tr.Best(dir)
-		return &Result{
-			BestConfig: best.Config.Clone(),
-			BestPerf:   best.Perf,
-			Trace:      tr,
-			Evals:      ev.Count(),
-			Converged:  converged,
-		}
-	}
 	// finish records the kernel's termination decision before returning.
-	finish := func(reason string, iter int, converged bool) *Result {
-		res := result(converged)
+	finish := func(reason string, iter int, converged bool) (*Result, int, error) {
+		res := &Result{Trace: ev.Trace(), Converged: converged}
+		if len(res.Trace) > 0 {
+			best := res.Trace.Best(opts.Direction)
+			res.BestConfig, res.BestPerf, res.Evals = best.Config.Clone(), best.Perf, ev.Count()
+		}
 		emit(opts.Tracer, Event{
 			Type: EventConverge, Op: reason, Iter: iter,
 			Perf: res.BestPerf, Config: res.BestConfig,
-			Note: fmt.Sprintf("evals=%d", res.Evals),
+			Note: fmt.Sprintf("evals=%d", res.Evals) + note,
 		})
-		return res
+		return res, iter, nil
 	}
-	if budgetHit || len(verts) < dim+1 {
-		return finish("init_budget", 0, false), nil
-	}
-
-	// worse(a, b) orders vertices from best to worst under dir.
-	better := func(a, b float64) bool { return dir.Better(a, b) }
-	sortVerts := func() { sortVertices(verts, better) }
-	sortVerts()
-
-	probe := func(spec *Speculation, pt []float64) (float64, bool) {
-		_, perf, err := ev.EvalSpeculated(clampPoint(space, pt), spec)
-		if err != nil {
-			return 0, false
-		}
-		return perf, true
+	if budgetHit || len(s.verts) < dim+1 {
+		return finish("init_budget", 0, false)
 	}
 
-	// step records one simplex operation for the tracer.
-	step := func(op string, iter int, perf float64, note string) {
-		emit(opts.Tracer, Event{Type: EventSimplex, Op: op, Iter: iter, Perf: perf, Note: note})
-	}
-
+	s.sort()
 	stall := 0
-	prevBest := verts[0].perf
+	prevBest := s.verts[0].perf
 	for iter := 0; ; iter++ {
 		// Convergence: relative spread between best and worst vertex.
-		bestV, worstV := verts[0].perf, verts[len(verts)-1].perf
+		bestV, worstV := s.verts[0].perf, s.verts[len(s.verts)-1].perf
 		spread := abs(bestV - worstV)
 		scale := abs(bestV) + abs(worstV)
 		if scale > 0 && spread/scale < opts.RelTol {
-			return finish("reltol", iter, true), nil
+			return finish("reltol", iter, true)
 		}
 		if stall >= opts.MaxStall {
-			return finish("stall", iter, true), nil
+			return finish("stall", iter, true)
 		}
+		if !iterate(s, iter) {
+			return finish("budget", iter, false)
+		}
+		s.sort()
+		if s.better(s.verts[0].perf, prevBest) {
+			prevBest = s.verts[0].perf
+			stall = 0
+		} else {
+			stall++
+		}
+	}
+}
 
-		// Centroid of all but the worst vertex.
-		centroid := make([]float64, dim)
-		for _, v := range verts[:len(verts)-1] {
-			for j := range centroid {
-				centroid[j] += v.pt[j]
-			}
+func (s *simplex) better(a, b float64) bool { return s.opts.Direction.Better(a, b) }
+
+func (s *simplex) sort() { sortVertices(s.verts, s.better) }
+
+// step records one simplex operation for the tracer.
+func (s *simplex) step(op string, iter int, perf float64, note string) {
+	emit(s.opts.Tracer, Event{Type: EventSimplex, Op: op, Iter: iter, Perf: perf, Note: note})
+}
+
+// centroid returns the centroid of the best keep vertices.
+func (s *simplex) centroid(keep int) []float64 {
+	c := make([]float64, s.space.Dim())
+	for _, v := range s.verts[:keep] {
+		for j := range c {
+			c[j] += v.pt[j]
 		}
-		for j := range centroid {
-			centroid[j] /= float64(len(verts) - 1)
+	}
+	for j := range c {
+		c[j] /= float64(keep)
+	}
+	return c
+}
+
+// shrink moves every vertex but the best toward the best and re-measures
+// them as one batch. It reports false when the budget ran out.
+func (s *simplex) shrink(iter int) bool {
+	verts := s.verts
+	bestPt := verts[0].pt
+	shrunk := make([][]float64, 0, len(verts)-1)
+	for i := 1; i < len(verts); i++ {
+		for j := range verts[i].pt {
+			verts[i].pt[j] = bestPt[j] + s.opts.Shrink*(verts[i].pt[j]-bestPt[j])
 		}
+		shrunk = append(shrunk, verts[i].pt)
+	}
+	_, perfs, err := s.ev.EvalBatch(shrunk, s.opts.Parallel)
+	if err != nil || len(perfs) < len(shrunk) {
+		return false
+	}
+	for i := 1; i < len(verts); i++ {
+		verts[i].perf = perfs[i-1]
+	}
+	s.step(OpShrink, iter, verts[0].perf, fmt.Sprintf("re-measured %d vertices", len(shrunk)))
+	return true
+}
+
+// moveFrom returns centroid + coef*(centroid - from).
+func moveFrom(centroid, from []float64, coef float64) []float64 {
+	pt := make([]float64, len(centroid))
+	for j := range pt {
+		pt[j] = centroid[j] + coef*(centroid[j]-from[j])
+	}
+	return pt
+}
+
+// nelderMeadSingle is the single-vertex simplex kernel. It commits the
+// sequential algorithm's trajectory; with opts.Parallel > 1 the initial
+// simplex and shrink steps are measured as one EvalBatch and each
+// iteration's candidates as one speculative round.
+func nelderMeadSingle(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Result, error) {
+	probe := func(spec *Speculation, pt []float64) (float64, bool) {
+		_, perf, err := ev.EvalSpeculated(clampPoint(space, pt), spec)
+		return perf, err == nil
+	}
+	res, _, err := runSimplex(space, ev, opts, "", func(s *simplex, iter int) bool {
+		verts := s.verts
+		// Reflect the worst vertex through the centroid of the others.
+		centroid := s.centroid(len(verts) - 1)
 		worst := verts[len(verts)-1]
-
-		move := func(coef float64) []float64 {
-			pt := make([]float64, dim)
-			for j := range pt {
-				pt[j] = centroid[j] + coef*(centroid[j]-worst.pt[j])
-			}
-			return pt
-		}
+		move := func(coef float64) []float64 { return moveFrom(centroid, worst.pt, coef) }
 
 		// All candidate points one iteration can probe are known before any
 		// measurement: the reflection, the expansion, and both contractions.
@@ -365,35 +390,35 @@ func nelderMeadSingle(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Res
 		// Reflection.
 		rPerf, ok := probe(spec, refl)
 		if !ok {
-			return finish("budget", iter, false), nil
+			return false
 		}
 		switch {
-		case better(rPerf, verts[0].perf):
+		case s.better(rPerf, verts[0].perf):
 			// Expansion.
-			step(OpReflect, iter, rPerf, "improved best; trying expansion")
+			s.step(OpReflect, iter, rPerf, "improved best; trying expansion")
 			exp := move(opts.Reflection * opts.Expansion)
 			ePerf, ok := probe(spec, exp)
 			if !ok {
-				return finish("budget", iter, false), nil
+				return false
 			}
-			if better(ePerf, rPerf) {
-				step(OpExpand, iter, ePerf, "accepted")
+			if s.better(ePerf, rPerf) {
+				s.step(OpExpand, iter, ePerf, "accepted")
 				verts[len(verts)-1] = vertex{pt: clampPoint(space, exp), perf: ePerf}
 			} else {
-				step(OpExpand, iter, ePerf, "rejected; kept reflection")
+				s.step(OpExpand, iter, ePerf, "rejected; kept reflection")
 				verts[len(verts)-1] = vertex{pt: clampPoint(space, refl), perf: rPerf}
 			}
-		case better(rPerf, verts[len(verts)-2].perf):
+		case s.better(rPerf, verts[len(verts)-2].perf):
 			// Better than the second-worst: accept the reflection.
-			step(OpReflect, iter, rPerf, "accepted")
+			s.step(OpReflect, iter, rPerf, "accepted")
 			verts[len(verts)-1] = vertex{pt: clampPoint(space, refl), perf: rPerf}
 		default:
 			// Contraction (outside if the reflection improved on the worst,
 			// inside otherwise).
-			step(OpReflect, iter, rPerf, "rejected; contracting")
+			s.step(OpReflect, iter, rPerf, "rejected; contracting")
 			var contr []float64
 			contrOp := OpContractIn
-			if better(rPerf, worst.perf) {
+			if s.better(rPerf, worst.perf) {
 				contr = move(opts.Reflection * opts.Contraction)
 				contrOp = OpContractOut
 			} else {
@@ -401,41 +426,18 @@ func nelderMeadSingle(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Res
 			}
 			cPerf, ok := probe(spec, contr)
 			if !ok {
-				return finish("budget", iter, false), nil
+				return false
 			}
-			if better(cPerf, worst.perf) {
-				step(contrOp, iter, cPerf, "accepted")
-				verts[len(verts)-1] = vertex{pt: clampPoint(space, contr), perf: cPerf}
-			} else {
-				step(contrOp, iter, cPerf, "rejected; shrinking")
-				// Shrink every vertex toward the best — an embarrassingly
-				// parallel batch.
-				bestPt := verts[0].pt
-				shrunk := make([][]float64, 0, len(verts)-1)
-				for i := 1; i < len(verts); i++ {
-					for j := range verts[i].pt {
-						verts[i].pt[j] = bestPt[j] + opts.Shrink*(verts[i].pt[j]-bestPt[j])
-					}
-					shrunk = append(shrunk, verts[i].pt)
-				}
-				_, perfs, err := ev.EvalBatch(shrunk, opts.Parallel)
-				if err != nil || len(perfs) < len(shrunk) {
-					return finish("budget", iter, false), nil
-				}
-				for i := 1; i < len(verts); i++ {
-					verts[i].perf = perfs[i-1]
-				}
-				step(OpShrink, iter, verts[0].perf, fmt.Sprintf("re-measured %d vertices", len(shrunk)))
+			if !s.better(cPerf, worst.perf) {
+				s.step(contrOp, iter, cPerf, "rejected; shrinking")
+				return s.shrink(iter)
 			}
+			s.step(contrOp, iter, cPerf, "accepted")
+			verts[len(verts)-1] = vertex{pt: clampPoint(space, contr), perf: cPerf}
 		}
-		sortVerts()
-		if better(verts[0].perf, prevBest) {
-			prevBest = verts[0].perf
-			stall = 0
-		} else {
-			stall++
-		}
-	}
+		return true
+	})
+	return res, err
 }
 
 func clampPoint(space *Space, pt []float64) []float64 {

@@ -241,16 +241,21 @@ func (t Trace) InitialWindow(k int) Trace {
 
 // ExternalCache is the measure-once layer an Evaluator consults between
 // its own per-session bookkeeping and the real objective: a cross-session
-// config→perf memo with singleflight coalescing, optionally backed by the
-// §4.3 estimation gate (see the evalcache package).
+// (config, fidelity)→perf memo with singleflight coalescing, optionally
+// backed by the §4.3 estimation gate (see the evalcache package).
 //
 // Contract: Lookup answers with a previously measured truth (estimated ==
 // false) or a gate estimate (estimated == true); Measure obtains the truth
 // for cfg, calling measure at most once across concurrent duplicate
 // requests (other callers of the same configuration share the one result)
-// and remembering it for future Lookups. Implementations must be safe for
-// concurrent use — EvalBatch and Speculate call them from worker
-// goroutines.
+// and remembering it for future Lookups. Fidelity 0 (or ≥1) means full
+// fidelity. Reuse across fidelities is promotion-aware: a full-fidelity
+// truth may answer a lower-fidelity probe (the real number is strictly
+// better information than a noisy short run), but a low-fidelity
+// observation must never answer a full-fidelity probe. Lookup is only
+// called from the evaluator's own goroutine, in probe order; Measure may
+// be called from EvalBatch and Speculate worker goroutines, so
+// implementations must be safe for concurrent use.
 //
 // Externally answered probes are committed to the trace exactly like
 // measurements (budget charge, trace index, tracer event), so with a
@@ -258,20 +263,8 @@ func (t Trace) InitialWindow(k int) Trace {
 // is byte-identical to an uncached run — only the number of real objective
 // invocations drops.
 type ExternalCache interface {
-	Lookup(cfg Config) (perf float64, estimated, ok bool)
-	Measure(cfg Config, measure func() float64) float64
-}
-
-// FidelityExternalCache is an ExternalCache that additionally keys entries
-// on (config, fidelity). Reuse is promotion-aware: a full-fidelity truth
-// may answer a lower-fidelity probe (the real number is strictly better
-// information than a noisy short run), but a low-fidelity observation must
-// never answer a full-fidelity probe. External layers that do not
-// implement it are simply bypassed for reduced-fidelity evaluations.
-type FidelityExternalCache interface {
-	ExternalCache
-	LookupAt(cfg Config, fidelity float64) (perf float64, estimated, ok bool)
-	MeasureAt(cfg Config, fidelity float64, measure func() float64) float64
+	Lookup(cfg Config, fidelity float64) (perf float64, estimated, ok bool)
+	Measure(cfg Config, fidelity float64, measure func() float64) float64
 }
 
 // Evaluator wraps an Objective with exploration counting, a snap-to-grid
@@ -337,63 +330,49 @@ func (e *Evaluator) Eval(pt []float64) (Config, float64, error) {
 	return e.EvalConfig(cfg)
 }
 
-// EvalConfig measures an exact grid configuration.
+// EvalConfig measures an exact grid configuration at full fidelity.
 func (e *Evaluator) EvalConfig(cfg Config) (Config, float64, error) {
-	if !e.Space.Contains(cfg) {
-		return nil, 0, fmt.Errorf("search: configuration %v not in space", cfg)
-	}
-	e.keyBuf = appendKey(e.keyBuf[:0], cfg)
-	if !e.DisableCache {
-		if perf, ok := e.cache[string(e.keyBuf)]; ok { // alloc-free lookup
-			e.hit(cfg, perf, 0)
-			return cfg, perf, nil
-		}
-	}
-	if e.MaxEvals > 0 && len(e.trace) >= e.MaxEvals {
-		return nil, 0, ErrBudget
-	}
-	perf, estimated := e.measure(cfg)
-	e.commit(cfg, string(e.keyBuf), perf, estimated)
-	return cfg, perf, nil
+	return e.EvalConfigAt(cfg, 0)
 }
 
-// EvalAt measures the configuration nearest to the continuous point pt at
-// the given fidelity. See EvalConfigAt.
-func (e *Evaluator) EvalAt(pt []float64, fidelity float64) (Config, float64, error) {
-	return e.EvalConfigAt(e.Space.Snap(pt), fidelity)
-}
-
-// EvalConfigAt measures an exact grid configuration at the given fidelity.
-// Full fidelity (0 or ≥1) takes the unchanged EvalConfig path, so
-// trajectories are byte-identical when multi-fidelity is off. Reduced
-// fidelity keys the dedup cache on (config, fidelity) with promotion-aware
-// reuse: a full-fidelity truth already in the cache answers any probe, but
-// a low-fidelity observation never answers a full-fidelity one.
+// EvalConfigAt measures an exact grid configuration at the given fidelity
+// (0 or ≥1 is full). Reduced fidelity keys the dedup cache on (config,
+// fidelity) with promotion-aware reuse: a full-fidelity truth already in
+// the cache answers any probe, but a low-fidelity observation never
+// answers a full-fidelity one. Full-fidelity keys carry no suffix, so
+// trajectories are byte-identical when multi-fidelity is off.
 func (e *Evaluator) EvalConfigAt(cfg Config, fidelity float64) (Config, float64, error) {
-	if FullFidelity(fidelity) {
-		return e.EvalConfig(cfg)
-	}
 	if !e.Space.Contains(cfg) {
 		return nil, 0, fmt.Errorf("search: configuration %v not in space", cfg)
+	}
+	if FullFidelity(fidelity) {
+		fidelity = 0
 	}
 	e.keyBuf = appendKey(e.keyBuf[:0], cfg)
 	plain := len(e.keyBuf)
-	e.keyBuf = appendFidelity(e.keyBuf, fidelity)
+	if fidelity != 0 {
+		e.keyBuf = appendFidelity(e.keyBuf, fidelity)
+	}
 	if !e.DisableCache {
-		if perf, ok := e.cache[string(e.keyBuf[:plain])]; ok { // promoted truth
+		if perf, ok := e.cache[string(e.keyBuf[:plain])]; ok { // alloc-free lookup of the truth
 			e.hit(cfg, perf, 0)
 			return cfg, perf, nil
 		}
-		if perf, ok := e.cache[string(e.keyBuf)]; ok { // same-rung repeat
-			e.hit(cfg, perf, fidelity)
-			return cfg, perf, nil
+		if fidelity != 0 {
+			if perf, ok := e.cache[string(e.keyBuf)]; ok { // same-rung repeat
+				e.hit(cfg, perf, fidelity)
+				return cfg, perf, nil
+			}
 		}
 	}
 	if e.MaxEvals > 0 && len(e.trace) >= e.MaxEvals {
 		return nil, 0, ErrBudget
 	}
-	perf, estimated := e.measureAt(cfg, fidelity)
-	e.commitFidelity(cfg, string(e.keyBuf), perf, estimated, fidelity)
+	perf, estimated, ok := e.lookup(cfg, fidelity)
+	if !ok {
+		perf = e.measure(cfg, fidelity)
+	}
+	e.commit(cfg, string(e.keyBuf), perf, estimated, fidelity)
 	return cfg, perf, nil
 }
 
@@ -413,68 +392,47 @@ func appendFidelity(b []byte, f float64) []byte {
 	return strconv.AppendFloat(b, f, 'g', -1, 64)
 }
 
-// measureAt is measure with a fidelity request: the external layer is
-// consulted only when it understands (config, fidelity) keying, and the
-// objective only shortens its horizon when it implements
-// FidelityObjective.
-func (e *Evaluator) measureAt(cfg Config, fidelity float64) (perf float64, estimated bool) {
-	if e.External != nil && !e.DisableCache {
-		if fc, ok := e.External.(FidelityExternalCache); ok {
-			if perf, est, ok := fc.LookupAt(cfg, fidelity); ok {
-				return perf, est
-			}
-			return fc.MeasureAt(cfg, fidelity, func() float64 { return e.rawMeasureAt(cfg, fidelity) }), false
-		}
+// lookup asks the external measure-once layer, when one is wired, for a
+// prior truth, a coalesced peer measurement or a gate estimate of cfg.
+func (e *Evaluator) lookup(cfg Config, fidelity float64) (perf float64, estimated, ok bool) {
+	if e.External == nil || e.DisableCache {
+		return 0, false, false
 	}
-	return e.rawMeasureAt(cfg, fidelity), false
+	return e.External.Lookup(cfg, fidelity)
 }
 
-func (e *Evaluator) rawMeasureAt(cfg Config, fidelity float64) float64 {
-	if fo, ok := e.Objective.(FidelityObjective); ok {
+// measure obtains the truth for cfg: through the external layer's
+// singleflight when one is wired, from the objective otherwise. Only a
+// reduced-fidelity request shortens the objective's horizon, and only
+// when it implements FidelityObjective. Safe to call from round workers.
+func (e *Evaluator) measure(cfg Config, fidelity float64) float64 {
+	if e.External == nil || e.DisableCache {
+		return e.rawMeasure(cfg, fidelity)
+	}
+	return e.External.Measure(cfg, fidelity, func() float64 { return e.rawMeasure(cfg, fidelity) })
+}
+
+func (e *Evaluator) rawMeasure(cfg Config, fidelity float64) float64 {
+	if fo, ok := e.Objective.(FidelityObjective); ok && fidelity != 0 {
 		return fo.MeasureAt(cfg, fidelity)
 	}
 	return e.Objective.Measure(cfg)
-}
-
-// commitFidelity commits a reduced-fidelity evaluation: the dedup cache
-// learns it under the fidelity-suffixed key only (it must never answer a
-// full-fidelity probe), and the trace entry and tracer event carry the
-// fidelity so deposits and offline analysis can separate triage from
-// truth.
-func (e *Evaluator) commitFidelity(cfg Config, key string, perf float64, estimated bool, fidelity float64) {
-	e.cache[key] = perf
-	kept := cfg.Clone()
-	e.trace = append(e.trace, Evaluation{Index: len(e.trace), Config: kept, Perf: perf, Estimated: estimated, Fidelity: fidelity})
-	if e.Tracer != nil {
-		emit(e.Tracer, Event{Type: EventEval, Index: len(e.trace) - 1, Config: kept, Perf: perf, Estimated: estimated, Fidelity: fidelity})
-	}
-}
-
-// measure obtains the performance for cfg: through the external
-// measure-once layer when one is wired (exact hit, coalesced peer
-// measurement or gate estimate), through the real objective otherwise.
-// Safe to call from EvalBatch/Speculate worker goroutines.
-func (e *Evaluator) measure(cfg Config) (perf float64, estimated bool) {
-	if e.External == nil || e.DisableCache {
-		return e.Objective.Measure(cfg), false
-	}
-	if perf, est, ok := e.External.Lookup(cfg); ok {
-		return perf, est
-	}
-	return e.External.Measure(cfg, func() float64 { return e.Objective.Measure(cfg) }), false
 }
 
 // commit appends one evaluation to the cache (under its precomputed key)
 // and trace and emits its tracer event. Must run on the evaluator's own
 // goroutine (commit order is the determinism guarantee). The trace entry
 // and the tracer event share one clone — both treat the configuration as
-// immutable.
-func (e *Evaluator) commit(cfg Config, key string, perf float64, estimated bool) {
+// immutable. A reduced-fidelity entry is cached under its fidelity-suffixed
+// key only, so it never answers a full-fidelity probe, and it carries its
+// fidelity so deposits and offline analysis can separate triage from
+// truth.
+func (e *Evaluator) commit(cfg Config, key string, perf float64, estimated bool, fidelity float64) {
 	e.cache[key] = perf
 	kept := cfg.Clone()
-	e.trace = append(e.trace, Evaluation{Index: len(e.trace), Config: kept, Perf: perf, Estimated: estimated})
+	e.trace = append(e.trace, Evaluation{Index: len(e.trace), Config: kept, Perf: perf, Estimated: estimated, Fidelity: fidelity})
 	if e.Tracer != nil {
-		emit(e.Tracer, Event{Type: EventEval, Index: len(e.trace) - 1, Config: kept, Perf: perf, Estimated: estimated})
+		emit(e.Tracer, Event{Type: EventEval, Index: len(e.trace) - 1, Config: kept, Perf: perf, Estimated: estimated, Fidelity: fidelity})
 	}
 }
 

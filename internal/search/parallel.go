@@ -25,101 +25,55 @@ func Synchronized(obj Objective) Objective {
 // evaluation budget allows; when the budget truncates the batch, err is
 // ErrBudget and the slices cover the measured prefix.
 //
-// Cache and trace bookkeeping is deterministic: results are committed in
-// input order regardless of measurement completion order, and duplicate
-// configurations within the batch are measured once. The Objective must be
-// safe for concurrent use when workers > 1 (wrap with Synchronized if not).
+// It is one concurrent round (see Speculate) followed by EvalSpeculated
+// over the input in order, so cache and trace bookkeeping replay the
+// sequential path exactly: results are committed in input order
+// regardless of measurement completion order, and duplicate
+// configurations within the batch are measured once. With an External
+// layer, every Lookup is asked in input order before the batch measures
+// anything, so a stateful layer (the estimation gate) answers the same way
+// whatever order the measurements finish in, and the committed trace does
+// not depend on measurement latency. The Objective must be safe for
+// concurrent use when workers > 1 (wrap with Synchronized if not).
 // EvalBatch itself must not be called concurrently with other Evaluator
 // methods.
+//
+// A panic in any worker must unwind the caller's goroutine, not crash the
+// process: the server's blocking objective panics errAborted when a client
+// disconnects mid-batch, and that panic flows through here. Every cleanly
+// measured configuration is still committed — the panic path only arises
+// when the session is dying, and the partial trace the server deposits
+// should keep every measurement the client paid for, regardless of where
+// in the batch the disconnect struck. The first (lowest-index) panic then
+// re-raises, which keeps propagation deterministic.
 func (e *Evaluator) EvalBatch(pts [][]float64, workers int) ([]Config, []float64, error) {
-	if workers <= 1 || e.DisableCache {
-		// Sequential path (the cache-off mode re-measures duplicates, which
-		// has no deterministic parallel equivalent).
-		cfgs := make([]Config, 0, len(pts))
-		perfs := make([]float64, 0, len(pts))
-		for _, pt := range pts {
-			cfg, perf, err := e.Eval(pt)
-			if err != nil {
-				return cfgs, perfs, err
+	spec := e.round(pts, workers)
+	cfgs := make([]Config, 0, len(pts))
+	perfs := make([]float64, 0, len(pts))
+	var err error
+	for _, pt := range pts {
+		if spec != nil && spec.failed != nil {
+			key := e.Space.Snap(pt).Key()
+			if spec.failed[key] {
+				continue
 			}
-			cfgs = append(cfgs, cfg)
-			perfs = append(perfs, perf)
-		}
-		return cfgs, perfs, nil
-	}
-
-	// Snap everything and find the configurations that need measuring, in
-	// first-occurrence order.
-	cfgs := make([]Config, len(pts))
-	keys := make([]string, len(pts))
-	need := make([]Config, 0, len(pts))
-	slot := map[string]int{} // key -> index into need
-	for i, pt := range pts {
-		cfgs[i] = e.Space.Snap(pt)
-		keys[i] = cfgs[i].Key()
-		if _, ok := e.cache[keys[i]]; ok {
-			continue
-		}
-		if _, ok := slot[keys[i]]; !ok {
-			slot[keys[i]] = len(need)
-			need = append(need, cfgs[i])
-		}
-	}
-
-	// Budget: only the first `allowed` missing configurations get measured.
-	allowed := len(need)
-	if e.MaxEvals > 0 {
-		allowed = min(allowed, max(e.MaxEvals-len(e.trace), 0))
-	}
-	measured := make([]float64, allowed)
-	estimated := make([]bool, allowed)
-	panics := runWorkers(allowed, workers, func(i int) {
-		measured[i], estimated[i] = e.measure(need[i])
-	})
-
-	// Commit in input order, replaying the sequential path: a configuration
-	// already in the cache (before the batch or committed earlier in it) is
-	// a hit, a measured one is committed, and the first one past the budget
-	// stops the batch. Tracer events and Hits therefore match the
-	// sequential path exactly, whatever the measurement completion order.
-	//
-	// A panic in any worker must unwind the caller's goroutine, not crash
-	// the process: the server's blocking objective panics errAborted when a
-	// client disconnects mid-batch, and that panic flows through here. Every
-	// cleanly measured configuration is still committed — the panic path
-	// only arises when the session is dying, and the partial trace the
-	// server deposits should keep every measurement the client paid for,
-	// regardless of where in the batch the disconnect struck. The first
-	// (lowest-index) panic then re-raises, which keeps propagation
-	// deterministic.
-	var repanic any
-	outP := make([]float64, 0, len(pts))
-	for i, cfg := range cfgs {
-		if perf, ok := e.cache[keys[i]]; ok {
-			e.hit(cfg, perf, 0)
-			outP = append(outP, perf)
-			continue
-		}
-		j := slot[keys[i]]
-		if j >= allowed {
-			break // past the budget: the sequential path stops here too
-		}
-		if panics[j] != nil {
-			if repanic == nil {
-				repanic = panics[j]
+			_, known := spec.perfs[key]
+			if _, cached := e.cache[key]; !known && !cached {
+				break // past the round's budget cap: never measure on a dying session
 			}
-			continue
 		}
-		e.commit(cfg, keys[i], measured[j], estimated[j])
-		outP = append(outP, measured[j])
+		var cfg Config
+		var perf float64
+		if cfg, perf, err = e.EvalSpeculated(pt, spec); err != nil {
+			break
+		}
+		cfgs = append(cfgs, cfg)
+		perfs = append(perfs, perf)
 	}
-	if repanic != nil {
-		panic(repanic)
+	if spec != nil && spec.panic != nil {
+		panic(spec.panic)
 	}
-	if len(outP) < len(cfgs) {
-		return cfgs[:len(outP)], outP, ErrBudget
-	}
-	return cfgs, outP, nil
+	return cfgs, perfs, err
 }
 
 // runWorkers runs fn(i) for every i in [0, n) on up to `workers` concurrent
@@ -157,18 +111,20 @@ func runWorkers(n, workers int, fn func(i int)) []any {
 // Speculation holds one round of concurrently measured candidate values
 // that have not been committed to the evaluator: no budget was consumed, no
 // trace entries were appended, and the cache is untouched. Commit happens
-// selectively through EvalSpeculated. The zero value (or an empty
+// selectively through EvalSpeculated. The zero value (or a nil or empty
 // speculation) is valid and makes EvalSpeculated equivalent to Eval.
 //
 // When the evaluator carries an External measure-once layer, every value a
 // speculative round measures is remembered by that layer even if the round
 // never commits it — so a candidate measured, discarded, and probed again
-// iterations (or sessions) later costs nothing the second time. Before the
-// layer existed, discarded speculative measurements were simply re-measured
-// (the multipoint/pipelined path's duplicate-config double measurement).
+// iterations (or sessions) later costs nothing the second time.
 type Speculation struct {
 	perfs map[string]float64
 	est   map[string]bool // keys answered by the estimation gate
+	// failed marks candidates whose measurement panicked (nil when none);
+	// panic is the lowest-index candidate's panic value.
+	failed map[string]bool
+	panic  any
 }
 
 // Len reports how many distinct configurations the round measured.
@@ -177,6 +133,64 @@ func (s *Speculation) Len() int {
 		return 0
 	}
 	return len(s.perfs)
+}
+
+// round is the evaluator's one concurrent measurement round. It snaps the
+// points and, in input order, skips duplicates and cached configurations,
+// caps the rest at the remaining evaluation budget (an External answer
+// counts: it commits like a measurement) and asks External.Lookup about
+// each, serially, before anything is measured. The candidates the layer
+// could not answer are measured concurrently on up to workers goroutines.
+// Nothing is committed; a panicking candidate is recorded in failed, and
+// the first one in input order in panic. With workers <= 1 (or a disabled
+// cache, whose re-measure-everything semantics have no concurrent
+// equivalent) it returns nil without allocating.
+func (e *Evaluator) round(pts [][]float64, workers int) *Speculation {
+	if workers <= 1 || e.DisableCache {
+		return nil
+	}
+	remaining := len(pts)
+	if e.MaxEvals > 0 {
+		remaining = max(e.MaxEvals-len(e.trace), 0)
+	}
+	spec := &Speculation{perfs: map[string]float64{}, est: map[string]bool{}}
+	var need []Config
+	for _, pt := range pts {
+		if remaining == 0 {
+			break
+		}
+		cfg := e.Space.Snap(pt)
+		key := cfg.Key()
+		if _, ok := e.cache[key]; ok {
+			continue
+		}
+		if _, ok := spec.perfs[key]; ok {
+			continue
+		}
+		remaining--
+		perf, est, ok := e.lookup(cfg, 0)
+		spec.perfs[key], spec.est[key] = perf, est
+		if !ok {
+			need = append(need, cfg)
+		}
+	}
+	perfs := make([]float64, len(need))
+	panics := runWorkers(len(need), workers, func(i int) {
+		perfs[i] = e.measure(need[i], 0)
+	})
+	for i, cfg := range need {
+		key := cfg.Key()
+		if panics[i] == nil {
+			spec.perfs[key] = perfs[i]
+			continue
+		}
+		delete(spec.perfs, key)
+		if spec.failed == nil {
+			spec.failed, spec.panic = map[string]bool{}, panics[i]
+		}
+		spec.failed[key] = true
+	}
+	return spec
 }
 
 // Speculate concurrently measures every not-yet-cached configuration among
@@ -191,63 +205,11 @@ func (s *Speculation) Len() int {
 // measured (the sequential kernel could never commit them). The Objective
 // must be safe for concurrent use; a panic in any measurement goroutine is
 // re-raised on the caller's goroutine. With workers <= 1 (or a disabled
-// cache, whose re-measure-everything semantics have no speculative
-// equivalent) the round is empty and probes fall back to real evaluations.
+// cache) the round is nil and probes fall back to real evaluations.
 func (e *Evaluator) Speculate(pts [][]float64, workers int) *Speculation {
-	spec := &Speculation{perfs: map[string]float64{}, est: map[string]bool{}}
-	if workers <= 1 || e.DisableCache {
-		return spec
-	}
-	need := make([]Config, 0, len(pts))
-	seen := map[string]bool{}
-	for _, pt := range pts {
-		cfg := e.Space.Snap(pt)
-		key := cfg.Key()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if _, ok := e.cache[key]; ok {
-			continue
-		}
-		if e.External != nil {
-			// The measure-once layer may already know this candidate (a
-			// prior run, a peer session, or an earlier discarded round);
-			// answer it for free instead of queueing a measurement.
-			if perf, est, ok := e.External.Lookup(cfg); ok {
-				spec.perfs[key] = perf
-				spec.est[key] = est
-				continue
-			}
-		}
-		need = append(need, cfg)
-	}
-	if e.MaxEvals > 0 {
-		remaining := e.MaxEvals - len(e.trace)
-		if remaining < 0 {
-			remaining = 0
-		}
-		if remaining < len(need) {
-			need = need[:remaining]
-		}
-	}
-	if len(need) == 0 {
-		return spec
-	}
-	perfs := make([]float64, len(need))
-	ests := make([]bool, len(need))
-	panics := runWorkers(len(need), workers, func(i int) {
-		perfs[i], ests[i] = e.measure(need[i])
-	})
-	for _, p := range panics {
-		if p != nil {
-			panic(p) // nothing was committed; unwind the caller
-		}
-	}
-	for i, cfg := range need {
-		key := cfg.Key()
-		spec.perfs[key] = perfs[i]
-		spec.est[key] = ests[i]
+	spec := e.round(pts, workers)
+	if spec != nil && spec.panic != nil {
+		panic(spec.panic) // nothing was committed; unwind the caller
 	}
 	return spec
 }
@@ -266,7 +228,7 @@ func (e *Evaluator) EvalSpeculated(pt []float64, spec *Speculation) (Config, flo
 				if e.MaxEvals > 0 && len(e.trace) >= e.MaxEvals {
 					return nil, 0, ErrBudget
 				}
-				e.commit(cfg, key, perf, spec.est[key])
+				e.commit(cfg, key, perf, spec.est[key], 0)
 				return cfg, perf, nil
 			}
 		}

@@ -232,3 +232,58 @@ func TestNelderMeadParallelBudgetSmallerThanSimplex(t *testing.T) {
 		t.Errorf("truncated parallel run: evals %d converged %v", res.Evals, res.Converged)
 	}
 }
+
+// warmingExternal answers {30} only after its Measure has seen {10}, the
+// way the estimation gate starts answering once enough truths surround a
+// configuration.
+type warmingExternal struct {
+	mu   sync.Mutex
+	seen map[int]bool
+}
+
+func (w *warmingExternal) Lookup(cfg Config, _ float64) (float64, bool, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if cfg[0] == 30 && w.seen[10] {
+		return 999, true, true
+	}
+	return 0, false, false
+}
+
+func (w *warmingExternal) Measure(cfg Config, _ float64, measure func() float64) float64 {
+	perf := measure()
+	w.mu.Lock()
+	w.seen[cfg[0]] = true
+	w.mu.Unlock()
+	return perf
+}
+
+// TestEvalBatchTraceIndependentOfLatency: with a stateful External layer,
+// a parallel batch commits the same trace whether {10} finishes before or
+// after the other measurements, because every Lookup is asked in input
+// order before the batch measures anything.
+func TestEvalBatchTraceIndependentOfLatency(t *testing.T) {
+	s := MustSpace(Param{Name: "x", Min: 0, Max: 100, Step: 1, Default: 0})
+	run := func(slow10 bool) Trace {
+		ev := NewEvaluator(s, ObjectiveFunc(func(c Config) float64 {
+			if (c[0] == 10) == slow10 {
+				time.Sleep(20 * time.Millisecond)
+			}
+			return float64(c[0])
+		}))
+		ev.External = &warmingExternal{seen: map[int]bool{}}
+		if _, _, err := ev.EvalBatch([][]float64{{10}, {20}, {30}}, 2); err != nil {
+			t.Fatal(err)
+		}
+		return ev.Trace()
+	}
+	slow, fast := run(true), run(false)
+	if len(slow) != len(fast) {
+		t.Fatalf("trace lengths differ: slow {10} %d, fast {10} %d", len(slow), len(fast))
+	}
+	for i := range slow {
+		if !slow[i].Config.Equal(fast[i].Config) || slow[i].Perf != fast[i].Perf || slow[i].Estimated != fast[i].Estimated {
+			t.Errorf("entry %d differs: slow {10} %+v, fast {10} %+v", i, slow[i], fast[i])
+		}
+	}
+}

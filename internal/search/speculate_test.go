@@ -84,6 +84,24 @@ func TestSpeculateRespectsBudget(t *testing.T) {
 	if _, _, err := ev.EvalSpeculated([]float64{2}, spec2); !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
 	}
+
+	// An External answer spends budget like a measurement: once {1},
+	// which the layer knows, is committed, {2} and {3} can never be, so
+	// the round must not measure them.
+	calls = 0
+	ev3 := NewEvaluator(s, ev.Objective)
+	ev3.MaxEvals = 1
+	ev3.External = &fakeFidCache{store: map[string]float64{Config{1}.Key(): 1}}
+	spec3 := ev3.Speculate([][]float64{{1}, {2}, {3}}, 4)
+	if calls != 0 {
+		t.Errorf("objective calls = %d, want 0: the External answer of {1} exhausts MaxEvals=1", calls)
+	}
+	if _, perf, err := ev3.EvalSpeculated([]float64{1}, spec3); err != nil || perf != 1 {
+		t.Fatalf("commit {1}: perf=%v err=%v", perf, err)
+	}
+	if _, _, err := ev3.EvalSpeculated([]float64{2}, spec3); !errors.Is(err, ErrBudget) {
+		t.Errorf("err = %v, want ErrBudget", err)
+	}
 }
 
 // TestSpeculativeKernelEventStreamIdentical pins the tentpole determinism

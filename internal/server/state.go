@@ -38,9 +38,9 @@ type SessionSnapshot struct {
 	// them. Un-muxed sessions each carry a unique ConnID.
 	ConnID string `json:"conn_id,omitempty"`
 	// Mux reports whether the session rides a multiplexed connection.
-	Mux    bool `json:"mux,omitempty"`
-	Proto  int  `json:"proto,omitempty"`
-	Window int  `json:"window,omitempty"`
+	Mux       bool      `json:"mux,omitempty"`
+	Proto     int       `json:"proto,omitempty"`
+	Window    int       `json:"window,omitempty"`
 	Dim       int       `json:"dim,omitempty"`
 	Direction string    `json:"direction,omitempty"`
 	Warm      bool      `json:"warm,omitempty"`
@@ -76,10 +76,10 @@ type SessionSnapshot struct {
 	PhaseDeposits int     `json:"phase_deposits,omitempty"`
 
 	// Robustness and pipeline state.
-	Outstanding   int    `json:"outstanding"`
-	Faults        int    `json:"faults"`
-	FailureBudget int    `json:"failure_budget"`
-	Retunes       int    `json:"retunes,omitempty"`
+	Outstanding   int `json:"outstanding"`
+	Faults        int `json:"faults"`
+	FailureBudget int `json:"failure_budget"`
+	Retunes       int `json:"retunes,omitempty"`
 	// DroppedRetunes counts re-tune requests that were accepted while the
 	// kernel was still polling but could no longer be honored by teardown
 	// time (the accept/teardown race, closed but accounted for).

@@ -548,11 +548,11 @@ func FuzzV3FrameDecode(f *testing.F) {
 	f.Add(muxFrame(opReport, 1, append([]byte{1, 7}, make([]byte, 8)...)))
 	f.Add(muxFrame(opConfig, 300, []byte{0, 2, 40, 90})) // two-byte varint token
 	f.Add(muxFrame(opRegister, 2, []byte(`{"op":"register","rsl":"{ harmonyBundle x { int {0 60 1} } }"}`)))
-	f.Add(muxFrame(opFetch, 99, nil))                      // unknown token: well-formed on the wire
-	f.Add(muxFrame(opError, 0, []byte("conn-scope")))      // reserved token 0
-	f.Add(frame(opFetch, bytes.Repeat([]byte{0x80}, 10)))  // unterminated uvarint token
-	f.Add(frame(opFetch, bytes.Repeat([]byte{0x80}, 3)))   // truncated uvarint token
-	f.Add(muxFrame(opReportF, 5, []byte{0, 1, 2, 3}))      // tokened short reportf body
+	f.Add(muxFrame(opFetch, 99, nil))                     // unknown token: well-formed on the wire
+	f.Add(muxFrame(opError, 0, []byte("conn-scope")))     // reserved token 0
+	f.Add(frame(opFetch, bytes.Repeat([]byte{0x80}, 10))) // unterminated uvarint token
+	f.Add(frame(opFetch, bytes.Repeat([]byte{0x80}, 3)))  // truncated uvarint token
+	f.Add(muxFrame(opReportF, 5, []byte{0, 1, 2, 3}))     // tokened short reportf body
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The same contract holds on both framings: never panic, classify
