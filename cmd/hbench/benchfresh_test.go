@@ -18,11 +18,10 @@ import (
 // load rather than on the code; every other field must regenerate exactly.
 var timingFields = map[string]bool{"wall_ms": true, "saved_seconds": true}
 
-// TestCommittedBenchFilesFresh regenerates each deterministic committed
-// BENCH_*.json with main's flag defaults and requires every non-timing
-// field to equal the committed file, so a change that moves a committed
-// figure has to regenerate it. BENCH_load.json holds only timings and is
-// not checked.
+// TestCommittedBenchFilesFresh regenerates each committed BENCH_*.json
+// with main's flag defaults and requires every non-timing field to equal
+// the committed file, so a change that moves a committed figure has to
+// regenerate it.
 func TestCommittedBenchFilesFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates three benchmarks")

@@ -45,7 +45,8 @@ const (
 
 // Options configure a Store.
 type Options struct {
-	// Dir is the data directory (created if missing). Required.
+	// Dir is the data directory (created if missing). Empty keeps the
+	// store in memory only: no snapshot, no WAL, nothing survives Close.
 	Dir string
 	// Sync is the WAL fsync policy (default SyncAlways).
 	Sync SyncPolicy
@@ -104,9 +105,9 @@ type shard struct {
 	ns map[string]*namespace
 }
 
-// Store is the durable experience database: a WAL-backed, snapshot-
-// compacted, k-d-indexed map of (namespace key → experiences). All methods
-// are safe for concurrent use.
+// Store is the experience database: a k-d-indexed, compacted map of
+// (namespace key → experiences), WAL-backed and snapshotted when opened on
+// a directory. All methods are safe for concurrent use.
 type Store struct {
 	opts   Options
 	shards []*shard
@@ -132,18 +133,19 @@ type snapshotFile struct {
 
 // Open recovers (or initializes) the store in opts.Dir: load the snapshot
 // if present, replay the WAL beyond its horizon, truncate any torn tail,
-// and reopen the log for appending.
+// and reopen the log for appending. With an empty Dir it returns an empty
+// in-memory store and touches no file.
 func Open(opts Options) (*Store, error) {
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("expdb: Options.Dir is required")
-	}
 	opts.fill()
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("expdb: creating data dir: %w", err)
-	}
 	s := &Store{opts: opts, shards: make([]*shard, opts.Shards)}
 	for i := range s.shards {
 		s.shards[i] = &shard{ns: map[string]*namespace{}}
+	}
+	if opts.Dir == "" {
+		return s, nil
+	}
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("expdb: creating data dir: %w", err)
 	}
 
 	// 1. Snapshot.
@@ -261,11 +263,12 @@ func (s *Store) apply(key string, exp *history.Experience) {
 	s.opts.Metrics.IndexSize.Set(float64(s.experiences.Load()))
 }
 
-// Deposit durably records one session's tuning experience under key. It
+// Deposit records one session's tuning experience under key. It
 // reports whether anything was stored — sessions without characteristics
 // or without a single measurement deposit nothing (matching the server's
-// historical contract) — and any WAL error. The experience is on the log
-// (fsynced under SyncAlways) before the in-memory view ever sees it.
+// historical contract) — and any WAL error. On a durable store the
+// experience is on the log (fsynced under SyncAlways) before the in-memory
+// view ever sees it.
 func (s *Store) Deposit(key, label string, chars []float64, dir search.Direction, tr search.Trace) (bool, error) {
 	if len(chars) == 0 || len(tr) == 0 {
 		return false, nil
@@ -280,8 +283,12 @@ func (s *Store) Deposit(key, label string, chars []float64, dir search.Direction
 	// concurrent snapshot+WAL-reset could drop an appended-but-unapplied
 	// record.
 	s.snapMu.Lock()
-	_, err := s.wal.append(key, exp)
-	records := s.wal.records
+	var err error
+	records := 0
+	if s.wal != nil {
+		_, err = s.wal.append(key, exp)
+		records = s.wal.records
+	}
 	if err == nil {
 		s.apply(key, exp)
 	}
@@ -330,8 +337,11 @@ func (s *Store) Match(key string, chars []float64) (*history.Experience, float64
 // write+fsync+rename+dir-sync) and truncates the WAL. Crash-safe at every
 // point: until the rename lands the old snapshot+WAL pair is authoritative;
 // after it, replayed WAL records at or below the new AppliedLSN are
-// skipped.
+// skipped. An in-memory store has nothing to fold and returns nil.
 func (s *Store) Snapshot() error {
+	if s.wal == nil {
+		return nil
+	}
 	start := time.Now()
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -430,9 +440,10 @@ func (s *Store) Flush() error {
 }
 
 // Close snapshots (folding the WAL so the next Open recovers fast) and
-// closes the log. Crash-safety never depends on Close being called.
+// closes the log; an in-memory store only stops taking deposits.
+// Crash-safety never depends on Close being called.
 func (s *Store) Close() error {
-	if s.closed.Swap(true) {
+	if s.closed.Swap(true) || s.wal == nil {
 		return nil
 	}
 	err := s.Snapshot()

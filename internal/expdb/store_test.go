@@ -231,9 +231,64 @@ func TestConcurrentDepositsAndMatches(t *testing.T) {
 	}
 }
 
-func TestOpenRequiresDir(t *testing.T) {
-	if _, err := Open(Options{}); err == nil {
-		t.Fatal("Open accepted empty Dir")
+// TestOpenWithoutDirStaysInMemory: a store opened without a directory
+// serves the whole API from memory and never writes a file — not even into
+// the working directory, where a joined empty Dir would land.
+func TestOpenWithoutDirStaysInMemory(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	if err := os.Chdir(tmp); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) }) //nolint:errcheck // best effort
+
+	s, err := Open(Options{SnapshotEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, chars := range [][]float64{{0.8, 0.2}, {0.1, 0.9}} {
+		if stored, err := s.Deposit("app/s1", fmt.Sprintf("w%d", i), chars, search.Maximize, trace(10*i, 20, 3)); err != nil || !stored {
+			t.Fatalf("Deposit %d = %v, %v", i, stored, err)
+		}
+	}
+	if _, err := s.Deposit("other/s2", "w", []float64{0.5}, search.Maximize, trace(1, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if exp, _, ok := s.Match("app/s1", []float64{0.12, 0.88}); !ok || exp.Label != "w1" {
+		t.Fatalf("Match = %+v, %v; want w1", exp, ok)
+	}
+	walked := 0
+	s.WalkRecords("app/s1", func(search.Config, float64) { walked++ })
+	if walked != 6 {
+		t.Fatalf("walked %d records, want 6", walked)
+	}
+	if page, total := s.WalkRecordsPage("app/s1", 2, 3); total != 6 || len(page) != 3 {
+		t.Fatalf("page = %d records of %d, want 3 of 6", len(page), total)
+	}
+	if ns := s.Namespaces(); len(ns) != 2 || ns[0].Key != "app/s1" || ns[0].Experiences != 2 || ns[0].Records != 6 {
+		t.Fatalf("Namespaces = %+v", ns)
+	}
+	if removed, err := s.Prune("other/s2"); err != nil || removed != 1 {
+		t.Fatalf("Prune = %d, %v", removed, err)
+	}
+	if s.Len() != 2 {
+		t.Fatalf("Len = %d after prune, want 2", s.Len())
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("in-memory store wrote %s", e.Name())
 	}
 }
 

@@ -25,7 +25,8 @@
 //
 // Recovery loads the snapshot, replays WAL records with LSN beyond the
 // snapshot's horizon, and truncates the log at the first torn or corrupt
-// frame — everything before the corruption point is recovered.
+// frame — everything before the corruption point is recovered. Opened
+// without a directory, the same store lives in memory only.
 package expdb
 
 import (

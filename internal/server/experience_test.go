@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -193,5 +194,65 @@ func TestConcurrentExperienceAccess(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestWarmStartAfterCompactionSeedsDistinctVertices: compaction merges
+// same-class experiences, so the matched record set repeats configurations
+// (every session re-measures the shared best). The warm start must still
+// seed dim+1 distinct vertices, or the simplex starts degenerate. The
+// compaction threshold reaching the default store is part of the setup.
+func TestWarmStartAfterCompactionSeedsDistinctVertices(t *testing.T) {
+	var mu sync.Mutex
+	evals := map[string][]search.Config{}
+	ends := make(chan SessionEnd, 3)
+	s, addr := startServerWith(t, func(s *Server) {
+		s.ExperienceCompactAbove = 1
+		s.OnSessionEnd = func(e SessionEnd) { ends <- e }
+		s.Tracer = search.TracerFunc(func(e search.Event) {
+			if e.Type == search.EventEval {
+				mu.Lock()
+				evals[e.Session] = append(evals[e.Session], e.Config)
+				mu.Unlock()
+			}
+		})
+	})
+	chars := []float64{0.8, 0.2}
+	for i := 0; i < 3; i++ {
+		c := dial(t, addr)
+		if _, err := c.Register(quadRSL, RegisterOptions{
+			MaxEvals: 150, Improved: true, App: "shop", Characteristics: chars,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if warm := c.WarmStarted(); warm != (i > 0) {
+			t.Fatalf("session %d warm = %v", i, warm)
+		}
+		n := 0
+		if _, err := c.Tune(quadMeasure(20, 45, &n)); err != nil {
+			t.Fatal(err)
+		}
+		end := waitEnd(t, ends)
+		if i < 2 {
+			continue
+		}
+		mu.Lock()
+		initial := evals[end.ID]
+		mu.Unlock()
+		if len(initial) < 3 {
+			t.Fatalf("session traced %d evaluations", len(initial))
+		}
+		initial = initial[:3]
+		for a := range initial {
+			for b := a + 1; b < len(initial); b++ {
+				if initial[a].Equal(initial[b]) {
+					t.Fatalf("initial simplex %v repeats a vertex", initial)
+				}
+			}
+		}
+	}
+	// The three same-class deposits compacted into one experience.
+	if ns := s.ExperienceStore().Namespaces(); len(ns) != 1 || ns[0].Experiences != 1 {
+		t.Fatalf("namespaces = %+v, want one compacted experience", ns)
 	}
 }

@@ -551,51 +551,55 @@ func TestMuxClientEvictionTyped(t *testing.T) {
 // every session completes, the state registry groups them under one ConnID
 // with Mux set, and the mux metric family adds up.
 func TestMuxFleetOverOneConnection(t *testing.T) {
-	const n = 12
+	runMuxFleet(t, 1, 12, 12, func(i int) RegisterOptions {
+		opts := RegisterOptions{MaxEvals: 50, Improved: true, Proto: 3}
+		if i%3 == 0 {
+			opts.Window = 4
+		}
+		return opts
+	})
+}
+
+// TestMuxFleetOverEightConnections is the load-scale fleet: 500 lockstep
+// sessions, 64 in flight, handed round-robin to 8 shared connections.
+func TestMuxFleetOverEightConnections(t *testing.T) {
+	runMuxFleet(t, 8, 500, 64, func(int) RegisterOptions {
+		return RegisterOptions{MaxEvals: 40, Improved: true, Proto: 3}
+	})
+}
+
+// runMuxFleet drives n sessions, at most inFlight at once, over conns mux
+// connections and checks the fleet end to end: every session completes
+// without an error on either side, the retained snapshots group the
+// sessions under at most conns connection identities, the corked writers
+// coalesce, and the per-connection session histogram accounts for every
+// connection and session.
+func runMuxFleet(t *testing.T, conns, n, inFlight int, opts func(i int) RegisterOptions) {
+	t.Helper()
 	ends := make(chan SessionEnd, n)
 	s, addr := startServerWith(t, func(s *Server) {
 		s.Metrics = NewMetrics(obs.NewRegistry())
 		s.OnSessionEnd = func(e SessionEnd) { ends <- e }
 	})
 
-	mx, err := DialMux(addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	muxes := make([]*Mux, conns)
+	for i := range muxes {
+		mx, err := DialMux(addr, 5*time.Second)
+		if err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+		muxes[i] = mx
 	}
-	var wg sync.WaitGroup
-	connIDs := make(map[string]bool)
-	var mu sync.Mutex
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := mx.Session()
-			opts := RegisterOptions{MaxEvals: 50, Improved: true, Proto: 3}
-			if i%3 == 0 {
-				opts.Window = 4
-			}
-			if _, err := c.Register(quadRSL, opts); err != nil {
-				t.Errorf("session %d: %v", i, err)
-				return
-			}
-			var best *Best
-			var terr error
-			if opts.Window > 1 {
-				best, terr = c.TuneParallel(quadPeak, 4)
-			} else {
-				best, terr = c.Tune(quadPeak)
-			}
-			if terr != nil {
-				t.Errorf("session %d: %v", i, terr)
-				return
-			}
-			if best.Perf < 900 {
-				t.Errorf("session %d best = %+v", i, best)
-			}
-			c.Close()
-		}(i)
+	run := driveSessions(n, inFlight,
+		func(i int) (*Client, error) { return muxes[i%conns].Session(), nil },
+		opts)
+	if run.completed != n || run.dialErrs+run.sessionErrs+run.protoErrs != 0 {
+		t.Errorf("%d/%d sessions completed; dial %d, session %d, protocol %d errors",
+			run.completed, n, run.dialErrs, run.sessionErrs, run.protoErrs)
 	}
-	wg.Wait()
+	if run.minBest < 900 {
+		t.Errorf("worst session best = %v", run.minBest)
+	}
 	for i := 0; i < n; i++ {
 		end := waitEnd(t, ends)
 		if end.Err != nil {
@@ -605,22 +609,35 @@ func TestMuxFleetOverOneConnection(t *testing.T) {
 			t.Errorf("session %s did not complete", end.ID)
 		}
 	}
-	// Every session snapshot carries the same connection identity.
-	for _, snap := range s.SessionSnapshots() {
-		if !snap.Mux {
-			t.Errorf("session %s not marked mux", snap.ID)
+	// Every session snapshot carries its connection identity, and the
+	// sessions share connections.
+	snaps := s.SessionSnapshots()
+	connIDs := make(map[string]bool)
+	for _, snap := range snaps {
+		if !snap.Mux || snap.ConnID == "" {
+			t.Errorf("session %s: mux=%v conn_id=%q", snap.ID, snap.Mux, snap.ConnID)
 		}
-		mu.Lock()
 		connIDs[snap.ConnID] = true
-		mu.Unlock()
 	}
-	if len(connIDs) != 1 {
-		t.Errorf("sessions spread over %d ConnIDs, want 1: %v", len(connIDs), connIDs)
+	if len(connIDs) > conns || len(connIDs) >= len(snaps) {
+		t.Errorf("%d sessions spread over %d ConnIDs, want at most %d shared: %v", len(snaps), len(connIDs), conns, connIDs)
 	}
-	mx.Close()
+	var frames, flushes uint64
+	for _, mx := range muxes {
+		f, fl := mx.Stats()
+		frames += f
+		flushes += fl
+		if e := mx.ConnErrors(); e != 0 {
+			t.Errorf("client mux saw %d connection errors", e)
+		}
+		mx.Close()
+	}
+	if flushes == 0 || frames <= flushes {
+		t.Errorf("client mux stats frames=%d flushes=%d: the corked writer never coalesced", frames, flushes)
+	}
 
 	// The connection gauge returns to zero and the per-connection session
-	// histogram saw all n sessions on one connection.
+	// histogram saw all n sessions on conns connections.
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Metrics.MuxConnections.Value() != 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -628,18 +645,14 @@ func TestMuxFleetOverOneConnection(t *testing.T) {
 	if v := s.Metrics.MuxConnections.Value(); v != 0 {
 		t.Errorf("MuxConnections = %v after close, want 0", v)
 	}
-	if c, sum := s.Metrics.MuxSessionsPerConn.Count(), s.Metrics.MuxSessionsPerConn.Sum(); c != 1 || sum != n {
-		t.Errorf("MuxSessionsPerConn count=%d sum=%v, want count=1 sum=%d", c, sum, n)
+	if c, sum := s.Metrics.MuxSessionsPerConn.Count(), s.Metrics.MuxSessionsPerConn.Sum(); c != uint64(conns) || sum != float64(n) {
+		t.Errorf("MuxSessionsPerConn count=%d sum=%v, want count=%d sum=%d", c, sum, conns, n)
 	}
 	if v := s.Metrics.MuxCorkedFlushFrames.Count(); v == 0 {
 		t.Error("corked writer never observed a flush")
 	}
 	if v := s.Metrics.MuxUnknownTokens.Value(); v != 0 {
 		t.Errorf("MuxUnknownTokens = %d, want 0", v)
-	}
-	frames, flushes := mx.Stats()
-	if frames == 0 || flushes == 0 || frames < flushes {
-		t.Errorf("client mux stats frames=%d flushes=%d", frames, flushes)
 	}
 }
 

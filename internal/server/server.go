@@ -79,16 +79,16 @@ type Server struct {
 	OnSessionEnd func(SessionEnd)
 	// Experience is the cross-session prior-run store: sessions that
 	// declare workload characteristics deposit their tuning traces and
-	// warm-start from the closest prior session (§4.2). Nil selects the
-	// built-in in-memory store (lost on restart); wire NewDurableStore
-	// over an expdb.Store for state that survives kill -9. Set it before
-	// Listen.
+	// warm-start from the closest prior session (§4.2). Nil selects an
+	// in-memory expdb store (lost on restart); wire NewDurableStore over
+	// an expdb.Store opened on a data directory for state that survives
+	// kill -9. Set it before Listen.
 	Experience Store
 	// ExperienceCompactAbove is the per-namespace experience count above
-	// which the in-memory store compacts (merge near-identical workload
-	// classes, keep best records). 0 means DefaultExperienceCompactAbove;
-	// negative disables compaction. Ignored when Experience is set —
-	// durable stores carry their own expdb.Options.
+	// which the default in-memory store compacts (merge near-identical
+	// workload classes, keep best records). 0 means
+	// DefaultExperienceCompactAbove; negative disables compaction. Ignored
+	// when Experience is set — that store carries its own expdb.Options.
 	ExperienceCompactAbove int
 	// ExperienceMergeDist is the squared-error radius within which two
 	// workloads' characteristics count as one class during compaction
@@ -194,10 +194,9 @@ type Server struct {
 	caches  map[string]*namespaceCache
 }
 
-// Defaults for the in-memory experience store's compaction knobs — the
-// values the server historically hard-coded, now named and overridable
-// (they also match the expdb defaults, so memory and durable stores bound
-// their state identically out of the box).
+// Defaults for the compaction knobs of the default experience store: the
+// expdb defaults, so in-memory and durable stores bound their state
+// identically out of the box.
 const (
 	DefaultExperienceCompactAbove = expdb.DefaultCompactAbove
 	DefaultExperienceMergeDist    = expdb.DefaultMergeDist
@@ -255,25 +254,19 @@ func kernelSeed(key string, chars []float64) uint64 {
 }
 
 // store resolves the experience backend, building the default in-memory
-// store (with the server's compaction knobs) on first use.
+// expdb store (with the server's compaction knobs) on first use.
 func (s *Server) store() Store {
 	s.expOnce.Do(func() {
 		if s.Experience != nil {
 			return
 		}
-		above := s.ExperienceCompactAbove
-		if above == 0 {
-			above = DefaultExperienceCompactAbove
-		}
-		dist := s.ExperienceMergeDist
-		if dist == 0 {
-			dist = DefaultExperienceMergeDist
-		}
-		keep := s.ExperienceKeepRecords
-		if keep == 0 {
-			keep = DefaultExperienceKeepRecords
-		}
-		s.Experience = newMemoryStore(above, dist, keep)
+		// Without a directory Open touches no file and cannot fail.
+		db, _ := expdb.Open(expdb.Options{
+			CompactAbove: s.ExperienceCompactAbove,
+			MergeDist:    s.ExperienceMergeDist,
+			KeepRecords:  s.ExperienceKeepRecords,
+		})
+		s.Experience = NewDurableStore(db, s.Logger)
 	})
 	return s.Experience
 }

@@ -494,6 +494,111 @@ func TestMixedFramingConcurrentSessions(t *testing.T) {
 	}
 }
 
+// --- load: many concurrent sessions ---------------------------------------
+
+// loadRun tallies one driveSessions schedule. Every session lands in
+// exactly one of completed and the error counts.
+type loadRun struct {
+	completed, dialErrs, sessionErrs, protoErrs int
+	// minBest is the worst final best among completed sessions.
+	minBest float64
+	// lats are the lockstep fetch-exchange round trips (report and fetch
+	// out, config back), the first fetch included.
+	lats []time.Duration
+}
+
+// p99 is the 99th-percentile fetch-exchange latency.
+func (r loadRun) p99() time.Duration {
+	if len(r.lats) == 0 {
+		return 0
+	}
+	sort.Slice(r.lats, func(i, j int) bool { return r.lats[i] < r.lats[j] })
+	return r.lats[len(r.lats)*99/100]
+}
+
+// driveSessions tunes quadPeak over n sessions with at most inFlight
+// running at once. open hands session i its client (a fresh dial or a mux
+// session; an error counts as a dial error) and opts its registration.
+// Lockstep sessions time every exchange; pipelined ones (Window > 1) run
+// TuneParallel.
+func driveSessions(n, inFlight int, open func(i int) (*Client, error), opts func(i int) RegisterOptions) loadRun {
+	var (
+		mu  sync.Mutex
+		run = loadRun{minBest: math.Inf(1)}
+		sem = make(chan struct{}, inFlight)
+		wg  sync.WaitGroup
+	)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			c, err := open(i)
+			if err != nil {
+				mu.Lock()
+				run.dialErrs++
+				mu.Unlock()
+				return
+			}
+			defer c.Close()
+			var (
+				best *Best
+				lats []time.Duration
+			)
+			o := opts(i)
+			if _, err = c.Register(quadRSL, o); err == nil {
+				if o.Window > 1 {
+					best, err = c.TuneParallel(quadPeak, o.Window)
+				} else {
+					last := time.Now()
+					best, err = c.Tune(func(cfg search.Config) float64 {
+						lats = append(lats, time.Since(last))
+						perf := quadPeak(cfg)
+						last = time.Now()
+						return perf
+					})
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			run.lats = append(run.lats, lats...)
+			switch {
+			case errors.Is(err, ErrProtocol):
+				run.protoErrs++
+			case err != nil:
+				run.sessionErrs++
+			default:
+				run.completed++
+				run.minBest = math.Min(run.minBest, best.Perf)
+			}
+		}(i)
+	}
+	wg.Wait()
+	return run
+}
+
+// TestLoadBothFramings drives 500 lockstep sessions, 64 in flight, over
+// each of the JSON (v2) and binary (v3) framings. Every session must
+// complete without a dial, session or protocol error, and the p99 fetch
+// exchange must stay under a bound that catches stalls, not slowness.
+func TestLoadBothFramings(t *testing.T) {
+	const sessions, inFlight, stallBound = 500, 64, 250 * time.Millisecond
+	_, addr := startServer(t)
+	for _, proto := range []int{2, 3} {
+		run := driveSessions(sessions, inFlight,
+			func(int) (*Client, error) { return Dial(addr, 5*time.Second) },
+			func(int) RegisterOptions { return RegisterOptions{MaxEvals: 40, Improved: true, Proto: proto} })
+		if run.completed != sessions || run.dialErrs+run.sessionErrs+run.protoErrs != 0 {
+			t.Errorf("v%d: %d/%d sessions completed; dial %d, session %d, protocol %d errors",
+				proto, run.completed, sessions, run.dialErrs, run.sessionErrs, run.protoErrs)
+		}
+		if p99 := run.p99(); p99 >= stallBound {
+			t.Errorf("v%d: p99 fetch exchange %v exceeds the %v stall bound", proto, p99, stallBound)
+		}
+	}
+}
+
 // --- fuzz: the v3 frame decoder -------------------------------------------
 
 // FuzzV3FrameDecode feeds arbitrary byte streams to the v3 frame reader:
