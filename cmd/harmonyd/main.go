@@ -73,7 +73,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7854", "listen address")
-	maxEvals := flag.Int("max-evals", 10000, "hard cap on per-session exploration budgets")
+	maxEvals := flag.Int("max-evals", 10000, "hard cap on per-session exploration budgets (at least 1)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "disconnect clients idle for this long (0 = no limit); one measurement must fit inside it")
 	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "per-reply write deadline (0 = no limit)")
 	failureBudget := flag.Int("failure-budget", 3, "tolerated per-session faults (garbage lines, non-finite reports); negative = zero tolerance")
@@ -110,6 +110,10 @@ func main() {
 	kernel, err := server.ParseSearchKernel(*searchKernel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "harmonyd:", err)
+		os.Exit(1)
+	}
+	if *maxEvals < 1 {
+		fmt.Fprintln(os.Stderr, "harmonyd: -max-evals must be at least 1")
 		os.Exit(1)
 	}
 

@@ -16,8 +16,6 @@
 package drift
 
 import (
-	"sync"
-
 	"harmony/internal/stats"
 )
 
@@ -91,10 +89,10 @@ type Status struct {
 }
 
 // Detector tracks one session's live workload against its matched
-// centroid. Safe for concurrent use: the connection's message loop
-// observes while the kernel goroutine reads and rebases.
+// centroid. It is not safe for concurrent use: the session goroutine both
+// observes reports into it and, at the kernel's restart poll, reads and
+// rebases it.
 type Detector struct {
-	mu     sync.Mutex
 	opts   Options
 	ref    []float64
 	live   []float64
@@ -125,8 +123,6 @@ func New(ref []float64, opts Options) *Detector {
 // exactly once. Observations whose length does not match the reference are
 // ignored.
 func (d *Detector) Observe(chars []float64) (dist float64, triggered bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if len(chars) != len(d.ref) || len(chars) == 0 {
 		return d.dist, false
 	}
@@ -164,8 +160,6 @@ func (d *Detector) Observe(chars []float64) (dist float64, triggered bool) {
 // the classifier re-matched after a drift, or the live vector itself when
 // nothing matched) and re-arms it for the next episode.
 func (d *Detector) Rebase(ref []float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.ref = append(d.ref[:0], ref...)
 	if d.live != nil {
 		d.dist = stats.SquaredError(d.live, d.ref)
@@ -176,15 +170,11 @@ func (d *Detector) Rebase(ref []float64) {
 // Live returns a copy of the current EWMA vector (nil before the first
 // observation).
 func (d *Detector) Live() []float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return append([]float64(nil), d.live...)
 }
 
 // Status returns a point-in-time snapshot.
 func (d *Detector) Status() Status {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return Status{
 		Live:         append([]float64(nil), d.live...),
 		Ref:          append([]float64(nil), d.ref...),

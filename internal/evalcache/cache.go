@@ -22,11 +22,15 @@
 //     to a real measurement otherwise.
 //
 // Layer binds the memo and the gate to one evaluator through the single
-// search.ExternalCache interface, whose Lookup and Measure take a
-// fidelity. Full fidelity (0) uses the plain configuration key; a
-// reduced-fidelity sample is keyed on (configuration, fidelity), is
-// answered by a full-fidelity truth when one exists, and never reaches the
-// gate.
+// search.ExternalCache interface, whose Lookup and Claim take a fidelity.
+// Full fidelity (0) uses the plain configuration key; a reduced-fidelity
+// sample is keyed on (configuration, fidelity), is answered by a
+// full-fidelity truth when one exists, and never reaches the gate.
+//
+// Nothing here blocks: a caller that finds a peer measuring its point gets
+// the flight's channel to wait on as it likes (a tuning session selects on
+// it beside its client's socket). A leader whose session ends before it
+// reports abandons its flight, and a follower claims the point anew.
 //
 // Exact-only caching is trajectory-preserving: for deterministic objectives
 // the committed tuning trajectory is identical to an uncached run — only
@@ -35,7 +39,6 @@
 package evalcache
 
 import (
-	"errors"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
@@ -51,10 +54,6 @@ const DefaultShards = 16
 // record, so dropping entries only costs future hits.
 const DefaultMaxEntries = 1 << 18
 
-// ErrCanceled is returned by Do when the caller's cancel channel closes
-// while waiting on a peer's in-flight measurement.
-var ErrCanceled = errors.New("evalcache: wait for in-flight measurement canceled")
-
 // entry is one memoized truth: the measured performance and what the
 // measurement cost (hits are credited with that much saved wall-clock).
 type entry struct {
@@ -64,10 +63,8 @@ type entry struct {
 
 // flight is one in-flight measurement other callers may coalesce onto.
 type flight struct {
-	done   chan struct{} // closed when the leader finishes (or fails)
-	perf   float64       // valid when !failed, after done
-	cost   time.Duration // ditto
-	failed bool          // leader panicked; followers must retry
+	done  chan struct{} // closed when the leader settles it
+	start time.Time
 }
 
 type shard struct {
@@ -150,7 +147,7 @@ func (c *Cache) Peek(key string) (float64, bool) {
 	return e.perf, ok
 }
 
-// Put memoizes a truth obtained outside Do — warm fills from the durable
+// Put memoizes a truth obtained outside a flight — warm fills from the durable
 // experience store, seeded historical pairs. cost is what re-measuring
 // would take (0 when unknown); future hits are credited with it.
 func (c *Cache) Put(key string, perf float64, cost time.Duration) {
@@ -181,88 +178,48 @@ func (c *Cache) storeLocked(sh *shard, key string, perf float64, cost time.Durat
 	}
 }
 
-// Do returns the truth for key, measuring at most once across concurrent
-// callers:
-//
-//   - a memo hit returns immediately (counted as a hit);
-//   - when another caller is already measuring key, Do waits for that
-//     measurement and shares its result (counted as coalesced; saved
-//     wall-clock credited with the leader's cost);
-//   - otherwise this caller becomes the leader, runs measure, memoizes the
-//     result and wakes the followers.
-//
-// A panic in measure unwinds the leader (after waking followers), and the
-// followers elect a new leader — a dying session must not poison its peers.
-// cancel, when non-nil and closed while waiting on a peer's measurement,
-// makes Do return ErrCanceled (the leader itself is never canceled here:
-// its measure closure is expected to watch its own session lifetime).
-//
-// coalesced reports that the result came from a peer's measurement or from
-// a racing insert rather than this caller's own measure run.
-func (c *Cache) Do(key string, measure func() float64, cancel <-chan struct{}) (perf float64, coalesced bool, err error) {
+// Claim asks for the truth of key without blocking, measuring at most once
+// across concurrent callers. A memo hit returns it (ok; a hit, or coalesced
+// when the caller waited on a flight for it). When a peer is measuring key,
+// its flight's channel comes back: Claim again, waited, once it closes.
+// Otherwise the caller leads a new flight (nil channel) and owes a Settle.
+func (c *Cache) Claim(key string, waited bool) (float64, <-chan struct{}, bool) {
 	sh := c.shard(key)
-	waited := false
-	for {
-		sh.mu.Lock()
-		if e, ok := sh.vals[key]; ok {
-			sh.mu.Unlock()
-			if waited {
-				// We piggybacked on a peer's work (or lost a race to a
-				// deposit): the measurement cost was saved.
-				c.metrics.Coalesced.Inc()
-				c.metrics.SavedSeconds.Add(e.cost.Seconds())
-			} else {
-				c.metrics.Hits.Inc()
-				c.metrics.SavedSeconds.Add(e.cost.Seconds())
-			}
-			return e.perf, true, nil
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e, ok := sh.vals[key]; ok {
+		if waited {
+			// We piggybacked on a peer's work (or lost a race to a deposit):
+			// the measurement cost was saved.
+			c.metrics.Coalesced.Inc()
+		} else {
+			c.metrics.Hits.Inc()
 		}
-		if f := sh.inflight[key]; f != nil {
-			sh.mu.Unlock()
-			waited = true
-			select {
-			case <-f.done:
-			case <-cancel:
-				return 0, false, ErrCanceled
-			}
-			if !f.failed {
-				c.metrics.Coalesced.Inc()
-				c.metrics.SavedSeconds.Add(f.cost.Seconds())
-				return f.perf, true, nil
-			}
-			continue // leader died; loop to (maybe) take over
-		}
-		// Become the leader.
-		f := &flight{done: make(chan struct{})}
-		sh.inflight[key] = f
-		sh.mu.Unlock()
-
-		start := time.Now()
-		ok := false
-		func() {
-			defer func() {
-				// Runs on both clean return and panic: publish the outcome,
-				// clear the in-flight slot, wake followers. On panic the
-				// panic keeps unwinding through Do to the caller.
-				sh.mu.Lock()
-				delete(sh.inflight, key)
-				if ok {
-					f.perf, f.cost = perf, time.Since(start)
-					c.storeLocked(sh, key, f.perf, f.cost)
-				} else {
-					f.failed = true
-				}
-				sh.mu.Unlock()
-				close(f.done)
-				if ok {
-					c.metrics.Size.Set(float64(c.len.Load()))
-				}
-			}()
-			perf = measure()
-			ok = true
-		}()
-		return perf, false, nil
+		c.metrics.SavedSeconds.Add(e.cost.Seconds())
+		return e.perf, nil, true
 	}
+	if f := sh.inflight[key]; f != nil {
+		return 0, f.done, false
+	}
+	sh.inflight[key] = &flight{done: make(chan struct{}), start: time.Now()}
+	return 0, nil, false
+}
+
+// Settle ends the flight the caller leads on key. measured memoizes perf
+// for every follower; !measured abandons the flight (its session went
+// away), and the followers claim the point anew — a dying session never
+// poisons its peers.
+func (c *Cache) Settle(key string, perf float64, measured bool) {
+	sh := c.shard(key)
+	sh.mu.Lock()
+	f := sh.inflight[key]
+	delete(sh.inflight, key)
+	if measured {
+		c.storeLocked(sh, key, perf, time.Since(f.start))
+	}
+	sh.mu.Unlock()
+	close(f.done)
+	c.metrics.Size.Set(float64(c.len.Load()))
 }
 
 // Len returns the number of resident entries.

@@ -10,6 +10,38 @@ import (
 	"harmony/internal/obs"
 )
 
+// do measures key at most once across concurrent callers through the
+// non-blocking flight protocol, the way search.Drive does: a memo
+// hit returns at once, a follower waits on the leader's flight and claims
+// again, a leader measures and settles — or, when measure panics, abandons
+// the flight before re-panicking. coalesced reports a result this caller
+// did not measure.
+func do(c *Cache, key string, measure func() float64) (perf float64, coalesced bool) {
+	waited := false
+	for {
+		perf, wait, ok := c.Claim(key, waited)
+		if ok {
+			return perf, true
+		}
+		if wait != nil {
+			<-wait
+			waited = true
+			continue
+		}
+		func() {
+			defer func() {
+				if rec := recover(); rec != nil {
+					c.Settle(key, 0, false)
+					panic(rec)
+				}
+			}()
+			perf = measure()
+		}()
+		c.Settle(key, perf, true)
+		return perf, false
+	}
+}
+
 func TestLookupPutPeek(t *testing.T) {
 	m := NewMetrics(obs.NewRegistry())
 	c := New(4, 0, m)
@@ -51,13 +83,13 @@ func TestDoMemoizes(t *testing.T) {
 	calls := 0
 	measure := func() float64 { calls++; return 7 }
 
-	perf, coalesced, err := c.Do("k", measure, nil)
-	if err != nil || perf != 7 || coalesced {
-		t.Fatalf("first Do = %v, %v, %v", perf, coalesced, err)
+	perf, coalesced := do(c, "k", measure)
+	if perf != 7 || coalesced {
+		t.Fatalf("first claim = %v, %v", perf, coalesced)
 	}
-	perf, coalesced, err = c.Do("k", measure, nil)
-	if err != nil || perf != 7 || !coalesced {
-		t.Fatalf("second Do = %v, %v, %v, want memo hit", perf, coalesced, err)
+	perf, coalesced = do(c, "k", measure)
+	if perf != 7 || !coalesced {
+		t.Fatalf("second claim = %v, %v, want memo hit", perf, coalesced)
 	}
 	if calls != 1 {
 		t.Fatalf("measure ran %d times, want 1", calls)
@@ -86,21 +118,20 @@ func TestDoSingleflight(t *testing.T) {
 
 	var wg sync.WaitGroup
 	perfs := make([]float64, n)
-	errs := make([]error, n)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		perfs[0], _, errs[0] = c.Do("k", measure, nil)
+		perfs[0], _ = do(c, "k", measure)
 	}()
 	<-started // the leader is inside measure; everyone else must coalesce
 	for i := 1; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			perfs[i], _, errs[i] = c.Do("k", func() float64 {
+			perfs[i], _ = do(c, "k", func() float64 {
 				t.Error("follower ran its own measurement")
 				return 0
-			}, nil)
+			})
 		}(i)
 	}
 	// Give the followers a moment to park on the flight, then release.
@@ -109,8 +140,8 @@ func TestDoSingleflight(t *testing.T) {
 	wg.Wait()
 
 	for i := range perfs {
-		if errs[i] != nil || perfs[i] != 3.25 {
-			t.Fatalf("caller %d: perf=%v err=%v", i, perfs[i], errs[i])
+		if perfs[i] != 3.25 {
+			t.Fatalf("caller %d: perf=%v", i, perfs[i])
 		}
 	}
 	if calls.Load() != 1 {
@@ -126,8 +157,9 @@ func TestDoSingleflight(t *testing.T) {
 	}
 }
 
-// TestDoLeaderPanic: a panicking leader must not poison followers — one of
-// them retries and becomes the new leader.
+// TestDoLeaderPanic: a leader that abandons its flight (its measurement
+// panicked, or its session went away) must not poison followers — one of
+// them claims again and becomes the new leader.
 func TestDoLeaderPanic(t *testing.T) {
 	c := New(0, 0, nil)
 	inMeasure := make(chan struct{})
@@ -142,11 +174,11 @@ func TestDoLeaderPanic(t *testing.T) {
 				t.Error("leader did not re-panic")
 			}
 		}()
-		c.Do("k", func() float64 { //nolint:errcheck
+		do(c, "k", func() float64 {
 			close(inMeasure)
 			<-die
 			panic(errors.New("objective died"))
-		}, nil)
+		})
 	}()
 	<-inMeasure
 
@@ -154,9 +186,9 @@ func TestDoLeaderPanic(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		perf, coalesced, err := c.Do("k", func() float64 { return 9 }, nil)
-		if err != nil || coalesced {
-			t.Errorf("follower retry: perf=%v coalesced=%v err=%v", perf, coalesced, err)
+		perf, coalesced := do(c, "k", func() float64 { return 9 })
+		if coalesced {
+			t.Errorf("follower retry: perf=%v coalesced=%v", perf, coalesced)
 		}
 		retried <- perf
 	}()
@@ -173,38 +205,38 @@ func TestDoLeaderPanic(t *testing.T) {
 	}
 }
 
-// TestDoCancel: a follower whose session dies while waiting on a peer's
-// measurement gets ErrCanceled instead of hanging forever.
+// TestDoCancel: following a peer's measurement never blocks — Claim hands
+// back the flight at once, so a session whose client goes away while it
+// follows simply stops waiting, and the flight still ends for everyone
+// else.
 func TestDoCancel(t *testing.T) {
 	c := New(0, 0, nil)
-	inMeasure := make(chan struct{})
-	release := make(chan struct{})
-	defer close(release)
-
+	if _, wait, ok := c.Claim("k", false); ok || wait != nil {
+		t.Fatal("first claim did not lead")
+	}
+	var flight <-chan struct{}
+	done := make(chan struct{})
 	go func() {
-		c.Do("k", func() float64 { //nolint:errcheck
-			close(inMeasure)
-			<-release
-			return 1
-		}, nil)
-	}()
-	<-inMeasure
-
-	cancel := make(chan struct{})
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := c.Do("k", func() float64 { return 2 }, cancel)
-		errc <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	close(cancel)
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("err = %v, want ErrCanceled", err)
+		defer close(done)
+		var ok bool
+		if _, flight, ok = c.Claim("k", false); ok || flight == nil {
+			t.Error("second claim did not follow the leader's flight")
 		}
+	}()
+	select {
+	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("canceled follower never returned")
+		t.Fatal("a follower's claim blocked")
+	}
+	select {
+	case <-flight:
+		t.Fatal("flight ended before its leader settled")
+	default:
+	}
+	c.Settle("k", 1, true)
+	<-flight
+	if perf, _, ok := c.Claim("k", true); !ok || perf != 1 {
+		t.Fatalf("claim after the flight = %v, %v, want 1", perf, ok)
 	}
 }
 
@@ -247,7 +279,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 				k := keys[(g+i)%len(keys)]
 				switch i % 3 {
 				case 0:
-					c.Do(k, func() float64 { return float64(len(k)) }, nil) //nolint:errcheck
+					do(c, k, func() float64 { return float64(len(k)) })
 				case 1:
 					c.Lookup(k)
 				default:

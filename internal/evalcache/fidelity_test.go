@@ -19,7 +19,7 @@ func TestLayerFidelityKeying(t *testing.T) {
 		t.Fatal("empty layer answered a probe")
 	}
 	calls := 0
-	got := layer.Measure(cfg, 0.25, func() float64 { calls++; return 111 })
+	got := measureVia(layer, cfg, 0.25, func() float64 { calls++; return 111 })
 	if got != 111 || calls != 1 {
 		t.Fatalf("Measure = %v after %d calls, want 111 after 1", got, calls)
 	}
@@ -38,7 +38,7 @@ func TestLayerFidelityKeying(t *testing.T) {
 	}
 
 	// Once the full truth is measured, it answers every fidelity (promotion).
-	layer.Measure(cfg, 0, func() float64 { return 100 })
+	measureVia(layer, cfg, 0, func() float64 { return 100 })
 	for _, fid := range []float64{0.125, 0.25, 0.5, 1} {
 		perf, est, ok := layer.Lookup(cfg, fid)
 		if !ok || est || perf != 100 {
@@ -51,7 +51,7 @@ func TestLayerFidelityFullDelegates(t *testing.T) {
 	layer := &evalcache.Layer{Cache: evalcache.New(0, 0, nil)}
 	cfg := search.Config{1, 2}
 	// Full fidelity (0 and ≥1) must be indistinguishable from the plain path.
-	perf := layer.Measure(cfg, 1, func() float64 { return 7 })
+	perf := measureVia(layer, cfg, 1, func() float64 { return 7 })
 	if perf != 7 {
 		t.Fatalf("Measure(1) = %v, want 7", perf)
 	}

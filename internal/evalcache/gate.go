@@ -320,7 +320,8 @@ func isFinite(v float64) bool {
 // Layer binds a Cache (exact memo + singleflight) and an optional Gate to
 // one evaluator, implementing search.ExternalCache. Several sessions'
 // layers may share one Cache and Gate (the server's shared scope); the
-// layer itself is cheap per-session state.
+// layer itself is cheap per-session state, used from one goroutine at a
+// time.
 type Layer struct {
 	// Cache is the exact-hit memo (required).
 	Cache *Cache
@@ -328,22 +329,15 @@ type Layer struct {
 	// Exact-only mode (nil Gate) is trajectory-preserving; gated mode is
 	// not, and is therefore opt-in.
 	Gate *Gate
-	// Cancel, when non-nil, aborts waits on peer in-flight measurements
-	// (the server wires the session's abort channel). A canceled wait
-	// panics ErrCanceled, which the server's kernel recovery treats like a
-	// client disconnect.
-	Cancel <-chan struct{}
 	// TruthCheckEvery, when positive, forces every Nth gate-answered probe
 	// of this layer to a real measurement anyway: Lookup declines the
-	// estimate (holding it aside), Measure pays the round-trip, and the
-	// absolute error between the two is observed on the metrics bundle's
-	// EstimateAbsError histogram. The measured truth enters the memo and
-	// the gate as usual, so a truth check is never wasted work.
+	// estimate (holding it aside), the evaluator pays the round-trip, and
+	// the absolute error between the two is observed on the metrics
+	// bundle's EstimateAbsError histogram. The measured truth enters the
+	// memo and the gate as usual, so a truth check is never wasted work.
 	TruthCheckEvery int
 
-	// calMu guards the calibration pacing state below (layers are shared by
-	// the evaluator's worker goroutines).
-	calMu   sync.Mutex
+	// gated and pending are the calibration pacing state.
 	gated   int
 	pending map[string]float64 // cfg key -> declined estimate, awaiting truth
 }
@@ -368,7 +362,7 @@ func (l *Layer) Lookup(cfg search.Config, fidelity float64) (perf float64, estim
 		if perf, ok := l.Gate.Estimate(cfg); ok {
 			if l.takeTruthCheck(key, perf) {
 				// Calibration: decline the estimate so the evaluator pays a
-				// real measurement; Measure correlates it back by key. No
+				// real measurement; truth correlates it back by key. No
 				// wall-clock is credited — none was saved.
 				return 0, false, false
 			}
@@ -384,13 +378,11 @@ func (l *Layer) Lookup(cfg search.Config, fidelity float64) (perf float64, estim
 
 // takeTruthCheck paces calibration: it reports whether this gate-answered
 // probe is the layer's Nth and must be measured for real, parking the
-// estimate until Measure resolves it.
+// estimate until its truth arrives.
 func (l *Layer) takeTruthCheck(key string, est float64) bool {
 	if l.TruthCheckEvery <= 0 {
 		return false
 	}
-	l.calMu.Lock()
-	defer l.calMu.Unlock()
 	l.gated++
 	if l.gated%l.TruthCheckEvery != 0 {
 		return false
@@ -402,41 +394,51 @@ func (l *Layer) takeTruthCheck(key string, est float64) bool {
 	return true
 }
 
-// Measure implements search.ExternalCache: singleflight through the shared
-// cache keyed on (config, fidelity), feeding a measured full-fidelity truth
-// to the gate. Reduced-fidelity observations never feed the gate (its
-// plane is fitted through ground truth only) and are never truth checks.
-func (l *Layer) Measure(cfg search.Config, fidelity float64, measure func() float64) float64 {
+// Claim implements search.ExternalCache: singleflight through the shared
+// cache keyed on (config, fidelity).
+func (l *Layer) Claim(cfg search.Config, fidelity float64, waited bool) (float64, <-chan struct{}, bool) {
 	key := fidelityKey(cfg.Key(), fidelity)
-	perf, _, err := l.Cache.Do(key, measure, l.Cancel)
-	if err != nil {
-		panic(err) // ErrCanceled: the session is going away
+	perf, wait, ok := l.Cache.Claim(key, waited)
+	if ok {
+		l.truth(cfg, fidelity, key, perf)
 	}
+	return perf, wait, ok
+}
+
+// Settle implements search.ExternalCache: it ends a flight this layer
+// leads, publishing the measured truth (and feeding it to the gate) or
+// abandoning it to the followers.
+func (l *Layer) Settle(cfg search.Config, fidelity float64, perf float64, measured bool) {
+	key := fidelityKey(cfg.Key(), fidelity)
+	l.Cache.Settle(key, perf, measured)
+	if measured {
+		l.truth(cfg, fidelity, key, perf)
+	}
+}
+
+// truth feeds a full-fidelity truth to the gate and closes a pending truth
+// check on it. Reduced-fidelity observations never feed the gate (its
+// plane is fitted through ground truth only) and are never truth checks.
+func (l *Layer) truth(cfg search.Config, fidelity float64, key string, perf float64) {
 	if !search.FullFidelity(fidelity) {
-		return perf
+		return
 	}
 	if l.Gate != nil {
 		l.Gate.Observe(cfg, perf)
 	}
-	if l.TruthCheckEvery > 0 {
-		l.calMu.Lock()
-		est, pending := l.pending[key]
-		if pending {
-			delete(l.pending, key)
-		}
-		l.calMu.Unlock()
-		if pending {
-			m := l.Cache.metrics
-			m.TruthChecks.Inc()
-			m.EstimateAbsError.Observe(math.Abs(perf - est))
-			if l.Gate != nil {
-				// Close the calibration loop: a run of bad checks tightens
-				// the gate's acceptance, sustained accuracy re-widens it.
-				l.Gate.RecordTruthError(math.Abs(perf-est), perf)
-			}
-		}
+	est, pending := l.pending[key]
+	delete(l.pending, key)
+	if !pending {
+		return
 	}
-	return perf
+	m := l.Cache.metrics
+	m.TruthChecks.Inc()
+	m.EstimateAbsError.Observe(math.Abs(perf - est))
+	if l.Gate != nil {
+		// Close the calibration loop: a run of bad checks tightens the
+		// gate's acceptance, sustained accuracy re-widens it.
+		l.Gate.RecordTruthError(math.Abs(perf-est), perf)
+	}
 }
 
 // fidelityKey returns the memo key for a (config, fidelity) pair. Full

@@ -166,7 +166,7 @@ func TestLayerTruthCheckCalibration(t *testing.T) {
 	}
 	const bias = 0.75
 	measured := 0
-	got := layer.Measure(target, 0, func() float64 {
+	got := measureVia(layer, target, 0, func() float64 {
 		measured++
 		return planar(target) + bias
 	})
@@ -190,7 +190,7 @@ func TestLayerTruthCheckCalibration(t *testing.T) {
 	}
 
 	// A plain measurement with no pending check must not observe errors.
-	layer.Measure(search.Config{10, 10}, 0, func() float64 { return 1 })
+	measureVia(layer, search.Config{10, 10}, 0, func() float64 { return 1 })
 	if c := m.EstimateAbsError.Count(); c != 1 {
 		t.Fatalf("plain measurement polluted calibration: %d observations", c)
 	}
@@ -325,7 +325,7 @@ func TestLayerTruthCheckFeedsAdaptation(t *testing.T) {
 	for _, dx := range []int{-10, -5, 0, 5, 10} {
 		for _, dy := range []int{-10, -5, 0, 5, 10} {
 			cfg := search.Config{50 + dx, 50 + dy}
-			l.Measure(cfg, 0, func() float64 { return curved(cfg) })
+			measureVia(l, cfg, 0, func() float64 { return curved(cfg) })
 		}
 	}
 	_, _, n0 := l.Gate.EffectiveThresholds()
@@ -337,7 +337,7 @@ func TestLayerTruthCheckFeedsAdaptation(t *testing.T) {
 			t.Fatalf("truth-check-every-1 lookup of %v was answered, want declined", cfg)
 		}
 		cfg := cfg
-		l.Measure(cfg, 0, func() float64 { return curved(cfg) })
+		measureVia(l, cfg, 0, func() float64 { return curved(cfg) })
 	}
 	if m.TruthChecks.Value() == 0 {
 		t.Fatal("no truth checks ran (gate never answered?)")
@@ -348,4 +348,16 @@ func TestLayerTruthCheckFeedsAdaptation(t *testing.T) {
 	if _, _, n := l.Gate.EffectiveThresholds(); n <= n0 {
 		t.Fatalf("record floor %d after shrink, want > %d", n, n0)
 	}
+}
+
+// measureVia obtains cfg's truth through the layer's claim protocol the
+// way an evaluator does: a known truth answers at once, otherwise the
+// layer leads the flight, measure runs, and Settle publishes the result.
+func measureVia(l *Layer, cfg search.Config, fidelity float64, measure func() float64) float64 {
+	if perf, _, ok := l.Claim(cfg, fidelity, false); ok {
+		return perf
+	}
+	perf := measure()
+	l.Settle(cfg, fidelity, perf, true)
+	return perf
 }

@@ -180,7 +180,7 @@ func TestLayerGateFallsBackToMeasurement(t *testing.T) {
 		t.Fatal("empty layer answered a probe")
 	}
 	measured := false
-	perf := layer.Measure(cfg, 0, func() float64 { measured = true; return quad(cfg) })
+	perf := measureVia(layer, cfg, 0, func() float64 { measured = true; return quad(cfg) })
 	if !measured || perf != quad(cfg) {
 		t.Fatalf("measure fallback: measured=%v perf=%v", measured, perf)
 	}
@@ -207,7 +207,7 @@ func TestLayerGateAnswersWhenSupported(t *testing.T) {
 	for _, dx := range []int{-6, -3, 0, 3, 6} {
 		for _, dy := range []int{-6, -3, 0, 3, 6} {
 			cfg := search.Config{30 + dx, 30 + dy}
-			layer.Measure(cfg, 0, func() float64 { return plane(cfg) })
+			measureVia(layer, cfg, 0, func() float64 { return plane(cfg) })
 		}
 	}
 	target := search.Config{31, 29}
@@ -246,4 +246,16 @@ func TestLayerWarmFill(t *testing.T) {
 	if layer.Gate.Len() != 1 {
 		t.Fatalf("gate records after fill = %d, want 1", layer.Gate.Len())
 	}
+}
+
+// measureVia obtains cfg's truth through the layer's claim protocol the
+// way an evaluator does: a known truth answers at once, otherwise the
+// layer leads the flight, measure runs, and Settle publishes the result.
+func measureVia(l *evalcache.Layer, cfg search.Config, fidelity float64, measure func() float64) float64 {
+	if perf, _, ok := l.Claim(cfg, fidelity, false); ok {
+		return perf
+	}
+	perf := measure()
+	l.Settle(cfg, fidelity, perf, true)
+	return perf
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"harmony/internal/search"
 	"harmony/internal/stats"
@@ -92,105 +91,120 @@ type incumbent struct {
 }
 
 // Run executes the multi-fidelity schedule against a caller-managed
-// evaluator: Hyperband brackets of prior-sampled candidates, successively
-// halved at increasing fidelity rungs, then full-fidelity Nelder–Mead
-// polish seeded by the surviving incumbents. The evaluator carries the
-// budget (MaxEvals), the trace, the tracer and any external eval-cache
-// layer across both phases. Exhausting the budget during triage is not an
-// error — the polish simply starts (and may immediately finish) with
-// whatever survived.
+// evaluator, driving New with search.Drive (triage measures one candidate
+// at a time; the polish asks for up to Polish.Parallel points at once).
+func Run(space *search.Space, ev *search.Evaluator, prior *Prior, opts Options) (*search.Result, error) {
+	return search.Drive(New(space, ev, prior, opts), ev, opts.Polish.Parallel)
+}
+
+// New returns the multi-fidelity schedule as a search.Kernel: Hyperband
+// brackets of prior-sampled candidates, successively halved at increasing
+// fidelity rungs, then full-fidelity Nelder–Mead polish seeded by the
+// surviving incumbents. The evaluator carries the budget (MaxEvals), the
+// trace, the tracer and any external eval-cache layer across both phases.
+// Exhausting the budget during triage is not an error — the polish simply
+// starts (and may immediately finish) with whatever survived.
 //
 // prior may be nil (every candidate is then drawn uniformly).
-func Run(space *search.Space, ev *search.Evaluator, prior *Prior, opts Options) (*search.Result, error) {
-	dim := space.Dim()
-	opts.fill(dim)
+func New(space *search.Space, ev *search.Evaluator, prior *Prior, opts Options) *search.Machine {
+	opts.fill(space.Dim())
 	if prior == nil {
 		prior = NewPrior(space, nil)
 	}
 	rng := stats.NewRNG(opts.Seed ^ 0x5851f42d4c957f2d)
-
+	var m *search.Machine
 	var finalists []incumbent
 	budgetHit := false
 
-triage:
-	for s := opts.SMax; s >= 0; s-- {
-		// Bracket s: n candidates starting at fidelity r, s+1 rungs.
-		n := int(math.Ceil(float64(opts.SMax+1) / float64(s+1) * math.Pow(opts.Eta, float64(s))))
-		if n < 1 {
-			n = 1
+	// polish runs full-fidelity Nelder–Mead from the incumbents' simplex.
+	// The seeds are the triage survivors best-first; with no triage (Eta=∞
+	// or SMax<0) they are the prior's own centers, which makes the
+	// degenerate schedule exactly plain prior-seeded simplex.
+	polish := func() {
+		seeds := seedPoints(space, dedupeBest(finalists, opts.Direction, opts.Survivors))
+		if len(seeds) == 0 {
+			seeds = prior.SeedPoints()
 		}
+		polish := opts.Polish
+		fallback := polish.Init
+		if fallback == nil {
+			fallback = search.DistributedInit{}
+		}
+		polish.Init = search.SeededInit{Seeds: seeds, Fallback: fallback}
+		search.Emit(opts.Tracer, search.Event{
+			Type: search.EventPhase, Op: "polish",
+			Note: fmt.Sprintf("seeds=%d budget_hit=%v", len(seeds), budgetHit),
+		})
+		m.NelderMead(space, polish, m.Finish)
+	}
+
+	// bracket s: n candidates starting at fidelity MaxFidelity·Eta^−s, s+1
+	// rungs; each rung keeps its best 1/Eta for the next.
+	var bracket func(s int)
+	bracket = func(s int) {
+		if s < 0 {
+			polish()
+			return
+		}
+		n := max(int(math.Ceil(float64(opts.SMax+1)/float64(s+1)*math.Pow(opts.Eta, float64(s)))), 1)
 		candidates := sampleCandidates(prior, rng, n, ev.Count())
-		for i := 0; i <= s; i++ {
-			fid := opts.MaxFidelity * math.Pow(opts.Eta, float64(i-s))
-			if fid < opts.MinFidelity {
-				fid = opts.MinFidelity
-			}
-			if fid > opts.MaxFidelity {
-				fid = opts.MaxFidelity
-			}
-			emitRung(opts.Tracer, search.Event{
+		var rung func(i int)
+		rung = func(i int) {
+			fid := min(max(opts.MaxFidelity*math.Pow(opts.Eta, float64(i-s)), opts.MinFidelity), opts.MaxFidelity)
+			search.Emit(opts.Tracer, search.Event{
 				Type: search.EventRung, Op: "open", Iter: i, Fidelity: fid,
 				Note: fmt.Sprintf("bracket=%d candidates=%d", s, len(candidates)),
 			})
 			scored := make([]incumbent, 0, len(candidates))
-			for _, cfg := range candidates {
-				c, perf, err := ev.EvalConfigAt(cfg, fid)
-				if err == search.ErrBudget {
-					budgetHit = true
-					finalists = appendFinalists(finalists, scored, fid, opts.MaxFidelity)
-					break triage
+			var measure func()
+			measure = func() {
+				if len(scored) < len(candidates) {
+					m.Probe(candidates[len(scored)], fid, func(c search.Config, perf float64, err error) {
+						switch {
+						case err == search.ErrBudget:
+							budgetHit = true
+							finalists = appendFinalists(finalists, scored, fid, opts.MaxFidelity)
+							polish()
+						case err != nil:
+							m.Finish(nil, err)
+						default:
+							scored = append(scored, incumbent{cfg: c.Clone(), perf: perf})
+							measure()
+						}
+					})
+					return
 				}
-				if err != nil {
-					return nil, err
+				sort.SliceStable(scored, func(a, b int) bool {
+					return opts.Direction.Better(scored[a].perf, scored[b].perf)
+				})
+				if i < s {
+					scored = scored[:max(int(float64(len(scored))/opts.Eta), 1)]
 				}
-				scored = append(scored, incumbent{cfg: c.Clone(), perf: perf})
-			}
-			sort.SliceStable(scored, func(a, b int) bool {
-				return opts.Direction.Better(scored[a].perf, scored[b].perf)
-			})
-			keep := len(scored)
-			if i < s {
-				keep = int(float64(len(scored)) / opts.Eta)
-				if keep < 1 {
-					keep = 1
+				bestPerf := 0.0
+				if len(scored) > 0 {
+					bestPerf = scored[0].perf
+				}
+				search.Emit(opts.Tracer, search.Event{
+					Type: search.EventRung, Op: "promote", Iter: i, Fidelity: fid, Perf: bestPerf,
+					Note: fmt.Sprintf("bracket=%d survivors=%d", s, len(scored)),
+				})
+				candidates = candidates[:0]
+				for _, sc := range scored {
+					candidates = append(candidates, sc.cfg)
+				}
+				finalists = appendFinalists(finalists, scored, fid, opts.MaxFidelity)
+				if i < s {
+					rung(i + 1)
+				} else {
+					bracket(s - 1)
 				}
 			}
-			scored = scored[:keep]
-			bestPerf := 0.0
-			if len(scored) > 0 {
-				bestPerf = scored[0].perf
-			}
-			emitRung(opts.Tracer, search.Event{
-				Type: search.EventRung, Op: "promote", Iter: i, Fidelity: fid, Perf: bestPerf,
-				Note: fmt.Sprintf("bracket=%d survivors=%d", s, len(scored)),
-			})
-			candidates = candidates[:0]
-			for _, sc := range scored {
-				candidates = append(candidates, sc.cfg)
-			}
-			finalists = appendFinalists(finalists, scored, fid, opts.MaxFidelity)
+			measure()
 		}
+		rung(0)
 	}
-
-	// Polish: full-fidelity Nelder–Mead from the incumbents' simplex. The
-	// seeds are the triage survivors best-first; with no triage (Eta=∞ or
-	// SMax<0) they are the prior's own centers, which makes the degenerate
-	// schedule exactly plain prior-seeded simplex.
-	seeds := seedPoints(space, dedupeBest(finalists, opts.Direction, opts.Survivors))
-	if len(seeds) == 0 {
-		seeds = prior.SeedPoints()
-	}
-	polish := opts.Polish
-	fallback := polish.Init
-	if fallback == nil {
-		fallback = search.DistributedInit{}
-	}
-	polish.Init = search.SeededInit{Seeds: seeds, Fallback: fallback}
-	emitRung(opts.Tracer, search.Event{
-		Type: search.EventPhase, Op: "polish",
-		Note: fmt.Sprintf("seeds=%d budget_hit=%v", len(seeds), budgetHit),
-	})
-	return search.NelderMeadWithEvaluator(space, ev, polish)
+	m = search.NewMachine(ev, func() { bracket(opts.SMax) })
+	return m
 }
 
 // sampleCandidates draws n distinct candidates from the prior mixture
@@ -283,16 +297,4 @@ func MeasurementUnits(tr search.Trace) float64 {
 		}
 	}
 	return units
-}
-
-// emitRung forwards a scheduler event through the nil-safe tracer
-// convention (timestamped like every other emission site).
-func emitRung(t search.Tracer, e search.Event) {
-	if t == nil {
-		return
-	}
-	if e.Time.IsZero() {
-		e.Time = time.Now()
-	}
-	t.Emit(e)
 }

@@ -173,15 +173,19 @@ func (f *fakeFidCache) Lookup(cfg Config, fid float64) (float64, bool, bool) {
 	return p, false, ok
 }
 
-func (f *fakeFidCache) Measure(cfg Config, fid float64, measure func() float64) float64 {
+func (f *fakeFidCache) Claim(cfg Config, fid float64, _ bool) (float64, <-chan struct{}, bool) {
 	if FullFidelity(fid) {
 		f.measures++
 	} else {
 		f.lowMeasures++
 	}
-	p := measure()
-	f.store[f.key(cfg, fid)] = p
-	return p
+	return 0, nil, false
+}
+
+func (f *fakeFidCache) Settle(cfg Config, fid float64, perf float64, measured bool) {
+	if measured {
+		f.store[f.key(cfg, fid)] = perf
+	}
 }
 
 func TestEvalConfigAtRoutesThroughFidelityExternal(t *testing.T) {

@@ -23,7 +23,7 @@ func (o NelderMeadOptions) pbest(dim int) int {
 // Wiswall's p-best scheme): each iteration updates the p worst vertices
 // concurrently, and — unlike the textbook two-round formulation — measures
 // each vertex's reflection AND its inside contraction together in a single
-// EvalBatch round. Both candidates are computable from the committed
+// batch round. Both candidates are computable from the committed
 // simplex before any measurement starts (the contraction does not depend
 // on the reflection's outcome, only the choice between them does), so one
 // round of 2p concurrent measurements replaces the reflect-then-
@@ -47,14 +47,14 @@ func (o NelderMeadOptions) pbest(dim int) int {
 // commits up to p vertex updates — which is what a pipelined session with a
 // wide window buys. The trajectory differs from the sequential kernel's (a
 // different — more parallel — walk over the same surface) but is fully
-// deterministic for a given width: EvalBatch commits and traces in input
+// deterministic for a given width: a batch commits and traces in input
 // order, every decision derives from committed values, and the candidate
 // order within a round is fixed (worst vertex first, reflection before
 // contraction). Narrow spaces never take this path — pbest caps the width
 // at dim/2, so 2- and 3-dimensional sessions fall back to the speculative
 // kernel whose results are identical to sequential.
-func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p int) (*Result, error) {
-	res, iter, err := runSimplex(space, ev, opts, fmt.Sprintf(" pbest=%d", p), func(s *simplex, iter int) bool {
+func (m *Machine) nelderMeadMultiPoint(space *Space, opts NelderMeadOptions, p int, then func(*Result, error)) {
+	m.runSimplex(space, opts, fmt.Sprintf(" pbest=%d", p), func(s *simplex, iter int, next func(bool)) {
 		verts := s.verts
 		// Centroid of everything except the p vertices being updated.
 		centroid := s.centroid(len(verts) - p)
@@ -72,59 +72,69 @@ func nelderMeadMultiPoint(space *Space, ev *Evaluator, opts NelderMeadOptions, p
 			contrPts[j] = clampPoint(space, moveFrom(centroid, w.pt, -opts.Contraction))
 			batch = append(batch, reflPts[j], contrPts[j])
 		}
-		_, perfs, err := ev.EvalBatch(batch, opts.Parallel)
-		if err != nil || len(perfs) < len(batch) {
-			return false
-		}
-
-		// Commit the p updates: reflection if it beats the vertex, else
-		// contraction if that does, else the vertex stays.
-		improved := false
-		for j := 0; j < p; j++ {
-			idx := len(verts) - 1 - j
-			w := verts[idx]
-			rPerf, cPerf := perfs[2*j], perfs[2*j+1]
-			switch {
-			case s.better(rPerf, w.perf):
-				s.step(OpReflect, iter, rPerf, fmt.Sprintf("vertex %d accepted", idx))
-				verts[idx] = vertex{pt: reflPts[j], perf: rPerf}
-				improved = true
-			case s.better(cPerf, w.perf):
-				s.step(OpContractIn, iter, cPerf, fmt.Sprintf("vertex %d accepted", idx))
-				verts[idx] = vertex{pt: contrPts[j], perf: cPerf}
-				improved = true
-			default:
-				s.step(OpContractIn, iter, cPerf, fmt.Sprintf("vertex %d rejected", idx))
+		m.batch(batch, opts.Parallel, func(perfs []float64, err error) {
+			if err != nil || len(perfs) < len(batch) {
+				next(false)
+				return
 			}
-		}
-		// Every update failed: shrink the whole simplex toward the best
-		// vertex — one more concurrent batch.
-		return improved || s.shrink(iter)
-	})
-	if err != nil || !res.Converged || ev.MaxEvals <= 0 || len(res.BestConfig) == 0 {
-		return res, err
-	}
 
-	// The coarse walk converged. Leftover budget — the wide walk typically
-	// converges in fewer evaluations than the sequential kernel spends —
-	// funds a polish restart on the speculative kernel at reduced scale
-	// around the incumbent best.
-	remaining := ev.MaxEvals - ev.Count()
-	if remaining < space.Dim()+1 {
-		return res, nil
-	}
-	emit(opts.Tracer, Event{
-		Type: EventPhase, Op: "polish", Iter: iter, Perf: res.BestPerf,
-		Note: fmt.Sprintf("remaining=%d frac=%v", remaining, polishFrac),
+			// Commit the p updates: reflection if it beats the vertex, else
+			// contraction if that does, else the vertex stays.
+			improved := false
+			for j := 0; j < p; j++ {
+				idx := len(verts) - 1 - j
+				w := verts[idx]
+				rPerf, cPerf := perfs[2*j], perfs[2*j+1]
+				switch {
+				case s.better(rPerf, w.perf):
+					s.step(OpReflect, iter, rPerf, fmt.Sprintf("vertex %d accepted", idx))
+					verts[idx] = vertex{pt: reflPts[j], perf: rPerf}
+					improved = true
+				case s.better(cPerf, w.perf):
+					s.step(OpContractIn, iter, cPerf, fmt.Sprintf("vertex %d accepted", idx))
+					verts[idx] = vertex{pt: contrPts[j], perf: cPerf}
+					improved = true
+				default:
+					s.step(OpContractIn, iter, cPerf, fmt.Sprintf("vertex %d rejected", idx))
+				}
+			}
+			if improved {
+				next(true)
+				return
+			}
+			// Every update failed: shrink the whole simplex toward the best
+			// vertex — one more concurrent batch.
+			s.shrink(iter, next)
+		})
+	}, func(res *Result, iter int, err error) {
+		if err != nil || !res.Converged || m.ev.MaxEvals <= 0 || len(res.BestConfig) == 0 {
+			then(res, err)
+			return
+		}
+		// The coarse walk converged. Leftover budget — the wide walk
+		// typically converges in fewer evaluations than the sequential
+		// kernel spends — funds a polish restart on the speculative kernel
+		// at reduced scale around the incumbent best.
+		remaining := m.ev.MaxEvals - m.ev.Count()
+		if remaining < space.Dim()+1 {
+			then(res, nil)
+			return
+		}
+		Emit(opts.Tracer, Event{
+			Type: EventPhase, Op: "polish", Iter: iter, Perf: res.BestPerf,
+			Note: fmt.Sprintf("remaining=%d frac=%v", remaining, polishFrac),
+		})
+		polishOpts := opts
+		polishOpts.Init = scaledInit{center: space.Continuous(res.BestConfig), frac: polishFrac}
+		m.nelderMeadSingle(space, polishOpts, func(pres *Result, _ int, err error) {
+			if err != nil {
+				then(nil, err)
+				return
+			}
+			// The polish merely spends what was left, so running out of
+			// budget mid-polish is still convergence.
+			pres.Converged = true
+			then(pres, nil)
+		})
 	})
-	polishOpts := opts
-	polishOpts.Init = scaledInit{center: space.Continuous(res.BestConfig), frac: polishFrac}
-	pres, err := nelderMeadSingle(space, ev, polishOpts)
-	if err != nil {
-		return nil, err
-	}
-	// The polish merely spends what was left, so running out of budget
-	// mid-polish is still convergence.
-	pres.Converged = true
-	return pres, nil
 }

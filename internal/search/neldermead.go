@@ -28,12 +28,11 @@ type NelderMeadOptions struct {
 	// concurrent round (deterministic, but a different trajectory).
 	// Narrower spaces turn each iteration into a single speculative
 	// measurement round: the reflection, expansion and both contraction
-	// candidates are measured concurrently (see Evaluator.Speculate) and
-	// only the sequentially probed ones are committed, so results — best
-	// configuration, trace, budget accounting — are identical to the
-	// sequential kernel's for deterministic objectives; only wall-clock
-	// changes. The objective must be safe for concurrent use either way
-	// (see Synchronized).
+	// candidates are asked for at once and only the sequentially probed
+	// ones are committed, so results — best configuration, trace, budget
+	// accounting — are identical to the sequential kernel's for
+	// deterministic objectives; only wall-clock changes. The objective must
+	// be safe for concurrent use either way (see Synchronized).
 	Parallel int
 	// Restarts re-runs the search this many additional times after it
 	// converges, each restart building a fresh distributed simplex centred
@@ -133,50 +132,65 @@ func sortVertices(verts []vertex, better func(a, b float64) bool) {
 // configuration (§2). Because the space is bounded, probe points are clamped
 // into the box before snapping.
 func NelderMead(space *Space, obj Objective, opts NelderMeadOptions) (*Result, error) {
-	dim := space.Dim()
-	opts.fill(dim)
+	opts.fill(space.Dim())
 	ev := NewEvaluator(space, obj)
 	ev.MaxEvals = opts.MaxEvals
 	ev.Tracer = opts.Tracer
-	return nelderMeadWithRestarts(space, ev, opts)
+	return NelderMeadWithEvaluator(space, ev, opts)
 }
 
 // NelderMeadWithEvaluator runs the search against a caller-managed
 // evaluator, letting callers pre-seed historical measurements (§4.2) or
-// share a budget across stages.
+// share a budget across stages. It drives NewNelderMead with Drive.
 func NelderMeadWithEvaluator(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Result, error) {
-	opts.fill(space.Dim())
-	return nelderMeadWithRestarts(space, ev, opts)
+	return Drive(NewNelderMead(space, ev, opts), ev, opts.Parallel)
 }
 
-// nelderMeadWithRestarts runs the kernel, then optionally restarts from the
-// best point found with progressively tighter fresh simplexes, sharing the
-// evaluator (budget, cache and trace accumulate across restarts). The
-// planned Restarts come first; after them ExtraRestart is polled, so a
-// re-tune request arriving mid-run takes effect at the next natural
-// stopping point. Budget exhaustion (or an empty trace) ends both kinds:
-// restarting is futile then.
-func nelderMeadWithRestarts(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Result, error) {
-	res, err := nelderMead(space, ev, opts)
+// NewNelderMead returns the simplex search over ev as a Kernel. Its
+// Parallel option sets how many configurations one step asks for at once.
+func NewNelderMead(space *Space, ev *Evaluator, opts NelderMeadOptions) *Machine {
+	m := &Machine{ev: ev}
+	m.next = func() { m.NelderMead(space, opts, m.Finish) }
+	return m
+}
+
+// NelderMead runs the simplex search on the machine and continues with its
+// result. After the search converges it restarts from the best point found
+// with progressively tighter fresh simplexes, sharing the evaluator
+// (budget, cache and trace accumulate across restarts). The planned
+// Restarts come first; after them ExtraRestart is polled, so a re-tune
+// request arriving mid-run takes effect at the next natural stopping
+// point. Budget exhaustion (or an empty trace) ends both kinds: restarting
+// is futile then.
+func (m *Machine) NelderMead(space *Space, opts NelderMeadOptions, then func(*Result, error)) {
+	opts.fill(space.Dim())
 	scale := 0.5
-	for r := 1; err == nil && res.Converged && len(res.BestConfig) > 0; r++ {
+	r := 0
+	var restart func(*Result, error)
+	restart = func(res *Result, err error) {
+		r++
+		if err != nil || !res.Converged || len(res.BestConfig) == 0 {
+			then(res, err)
+			return
+		}
 		switch {
 		case r <= opts.Restarts:
-			emit(opts.Tracer, Event{Type: EventPhase, Op: "restart", Iter: r, Perf: res.BestPerf})
+			Emit(opts.Tracer, Event{Type: EventPhase, Op: "restart", Iter: r, Perf: res.BestPerf})
 		case opts.ExtraRestart != nil && opts.ExtraRestart():
-			emit(opts.Tracer, Event{Type: EventPhase, Op: "retune", Perf: res.BestPerf})
+			Emit(opts.Tracer, Event{Type: EventPhase, Op: "retune", Perf: res.BestPerf})
 		default:
-			return res, nil
+			then(res, nil)
+			return
 		}
 		restartOpts := opts
 		restartOpts.Init = scaledInit{
 			center: space.Continuous(res.BestConfig),
 			frac:   scale,
 		}
-		res, err = nelderMead(space, ev, restartOpts) // the shared trace spans all restarts
 		scale /= 2
+		m.nelderMead(space, restartOpts, restart) // the shared trace spans all restarts
 	}
-	return res, err
+	m.nelderMead(space, opts, restart)
 }
 
 // scaledInit builds a distributed simplex spanning frac of each parameter's
@@ -209,93 +223,124 @@ func (s scaledInit) Initial(space *Space) [][]float64 {
 // nelderMead runs one simplex search on the kernel the options select:
 // the multi-point kernel when the multi-point width exceeds 1, the
 // single-vertex kernel otherwise.
-func nelderMead(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Result, error) {
+func (m *Machine) nelderMead(space *Space, opts NelderMeadOptions, then func(*Result, error)) {
 	if p := opts.pbest(space.Dim()); p > 1 {
-		return nelderMeadMultiPoint(space, ev, opts, p)
+		m.nelderMeadMultiPoint(space, opts, p, then)
+		return
 	}
-	return nelderMeadSingle(space, ev, opts)
+	m.nelderMeadSingle(space, opts, func(res *Result, _ int, err error) { then(res, err) })
 }
 
 // simplex is the scaffold the single-vertex and multi-point kernels share:
 // the vertex set (sorted best to worst between iterations) and the
-// evaluator that measures it.
+// machine that measures it.
 type simplex struct {
 	space *Space
-	ev    *Evaluator
+	m     *Machine
 	opts  NelderMeadOptions
 	verts []vertex
+
+	// The iteration in flight, with its continuations bound once so an
+	// iteration allocates only its points. The single-vertex kernel keeps
+	// its candidates here too.
+	iter     int
+	next     func(bool)
+	pf       *prefetch
+	center   []float64 // the centroid the worst vertex moves through
+	worst    vertex
+	refl, pt []float64 // the reflection, and the point probed last
+	rPerf    float64
+	contrOp  string
+
+	reflected, expanded, contracted func(Config, float64, error)
+	shrunk                          func([]float64, error)
 }
 
-// runSimplex measures the initial simplex as one batch, then calls iterate
+// runSimplex measures the initial simplex as one batch, then runs iterate
 // once per iteration until the simplex converges — its relative spread
 // falls below RelTol, or MaxStall iterations pass without improving the
-// best vertex — or iterate reports the budget exhausted. It emits the
-// termination decision (with note appended to the evals count) and
-// returns the result and the final iteration.
-func runSimplex(space *Space, ev *Evaluator, opts NelderMeadOptions, note string, iterate func(s *simplex, iter int) bool) (*Result, int, error) {
+// best vertex — or iterate continues with false (the budget is
+// exhausted). It emits the termination decision (with note appended to
+// the evals count) and continues with the result and the final iteration.
+func (m *Machine) runSimplex(space *Space, opts NelderMeadOptions, note string,
+	iterate func(s *simplex, iter int, next func(bool)), then func(*Result, int, error)) {
 	dim := space.Dim()
 	initPts := opts.Init.Initial(space)
 	if len(initPts) != dim+1 {
-		return nil, 0, fmt.Errorf("search: init strategy %q produced %d vertices, want %d",
-			opts.Init.Name(), len(initPts), dim+1)
+		then(nil, 0, fmt.Errorf("search: init strategy %q produced %d vertices, want %d",
+			opts.Init.Name(), len(initPts), dim+1))
+		return
 	}
 	clamped := make([][]float64, len(initPts))
 	for i, pt := range initPts {
 		clamped[i] = clampPoint(space, pt)
 	}
-	_, initPerfs, err := ev.EvalBatch(clamped, opts.Parallel)
-	budgetHit := err == ErrBudget
-	if err != nil && !budgetHit {
-		return nil, 0, err
-	}
-	s := &simplex{space: space, ev: ev, opts: opts, verts: make([]vertex, 0, dim+1)}
-	for i, perf := range initPerfs {
-		s.verts = append(s.verts, vertex{pt: clamped[i], perf: perf})
-	}
+	m.batch(clamped, opts.Parallel, func(initPerfs []float64, err error) {
+		budgetHit := err == ErrBudget
+		if err != nil && !budgetHit {
+			then(nil, 0, err)
+			return
+		}
+		s := &simplex{space: space, m: m, opts: opts, verts: make([]vertex, 0, dim+1)}
+		for i, perf := range initPerfs {
+			s.verts = append(s.verts, vertex{pt: clamped[i], perf: perf})
+		}
 
-	// finish records the kernel's termination decision before returning.
-	finish := func(reason string, iter int, converged bool) (*Result, int, error) {
-		res := &Result{Trace: ev.Trace(), Converged: converged}
-		if len(res.Trace) > 0 {
-			best := res.Trace.Best(opts.Direction)
-			res.BestConfig, res.BestPerf, res.Evals = best.Config.Clone(), best.Perf, ev.Count()
+		// finish records the kernel's termination decision before continuing.
+		finish := func(reason string, iter int, converged bool) {
+			res := &Result{Trace: m.ev.Trace(), Converged: converged}
+			if len(res.Trace) > 0 {
+				best := res.Trace.Best(opts.Direction)
+				res.BestConfig, res.BestPerf, res.Evals = best.Config.Clone(), best.Perf, m.ev.Count()
+			}
+			Emit(opts.Tracer, Event{
+				Type: EventConverge, Op: reason, Iter: iter,
+				Perf: res.BestPerf, Config: res.BestConfig,
+				Note: fmt.Sprintf("evals=%d", res.Evals) + note,
+			})
+			then(res, iter, nil)
 		}
-		emit(opts.Tracer, Event{
-			Type: EventConverge, Op: reason, Iter: iter,
-			Perf: res.BestPerf, Config: res.BestConfig,
-			Note: fmt.Sprintf("evals=%d", res.Evals) + note,
-		})
-		return res, iter, nil
-	}
-	if budgetHit || len(s.verts) < dim+1 {
-		return finish("init_budget", 0, false)
-	}
+		if budgetHit || len(s.verts) < dim+1 {
+			finish("init_budget", 0, false)
+			return
+		}
 
-	s.sort()
-	stall := 0
-	prevBest := s.verts[0].perf
-	for iter := 0; ; iter++ {
-		// Convergence: relative spread between best and worst vertex.
-		bestV, worstV := s.verts[0].perf, s.verts[len(s.verts)-1].perf
-		spread := abs(bestV - worstV)
-		scale := abs(bestV) + abs(worstV)
-		if scale > 0 && spread/scale < opts.RelTol {
-			return finish("reltol", iter, true)
-		}
-		if stall >= opts.MaxStall {
-			return finish("stall", iter, true)
-		}
-		if !iterate(s, iter) {
-			return finish("budget", iter, false)
-		}
 		s.sort()
-		if s.better(s.verts[0].perf, prevBest) {
-			prevBest = s.verts[0].perf
-			stall = 0
-		} else {
-			stall++
+		stall, iter := 0, 0
+		prevBest := s.verts[0].perf
+		var loop func()
+		after := func(ok bool) {
+			if !ok {
+				finish("budget", iter, false)
+				return
+			}
+			s.sort()
+			if s.better(s.verts[0].perf, prevBest) {
+				prevBest = s.verts[0].perf
+				stall = 0
+			} else {
+				stall++
+			}
+			iter++
+			loop()
 		}
-	}
+		loop = func() {
+			// Convergence: relative spread between best and worst vertex.
+			bestV, worstV := s.verts[0].perf, s.verts[len(s.verts)-1].perf
+			spread := abs(bestV - worstV)
+			scale := abs(bestV) + abs(worstV)
+			if scale > 0 && spread/scale < opts.RelTol {
+				finish("reltol", iter, true)
+				return
+			}
+			if stall >= opts.MaxStall {
+				finish("stall", iter, true)
+				return
+			}
+			iterate(s, iter, after)
+		}
+		loop()
+	})
 }
 
 func (s *simplex) better(a, b float64) bool { return s.opts.Direction.Better(a, b) }
@@ -304,7 +349,7 @@ func (s *simplex) sort() { sortVertices(s.verts, s.better) }
 
 // step records one simplex operation for the tracer.
 func (s *simplex) step(op string, iter int, perf float64, note string) {
-	emit(s.opts.Tracer, Event{Type: EventSimplex, Op: op, Iter: iter, Perf: perf, Note: note})
+	Emit(s.opts.Tracer, Event{Type: EventSimplex, Op: op, Iter: iter, Perf: perf, Note: note})
 }
 
 // centroid returns the centroid of the best keep vertices.
@@ -321,27 +366,36 @@ func (s *simplex) centroid(keep int) []float64 {
 	return c
 }
 
-// shrink moves every vertex but the best toward the best and re-measures
-// them as one batch. It reports false when the budget ran out.
-func (s *simplex) shrink(iter int) bool {
+// shrink moves every vertex but the best toward the best, re-measures
+// them as one batch and continues with false when the budget ran out.
+func (s *simplex) shrink(iter int, next func(bool)) {
+	if s.shrunk == nil {
+		s.shrunk = s.onShrunk
+	}
+	s.iter, s.next = iter, next
 	verts := s.verts
 	bestPt := verts[0].pt
-	shrunk := make([][]float64, 0, len(verts)-1)
+	pts := make([][]float64, 0, len(verts)-1)
 	for i := 1; i < len(verts); i++ {
 		for j := range verts[i].pt {
 			verts[i].pt[j] = bestPt[j] + s.opts.Shrink*(verts[i].pt[j]-bestPt[j])
 		}
-		shrunk = append(shrunk, verts[i].pt)
+		pts = append(pts, verts[i].pt)
 	}
-	_, perfs, err := s.ev.EvalBatch(shrunk, s.opts.Parallel)
-	if err != nil || len(perfs) < len(shrunk) {
-		return false
+	s.m.batch(pts, s.opts.Parallel, s.shrunk)
+}
+
+func (s *simplex) onShrunk(perfs []float64, err error) {
+	verts := s.verts
+	if err != nil || len(perfs) < len(verts)-1 {
+		s.next(false)
+		return
 	}
 	for i := 1; i < len(verts); i++ {
 		verts[i].perf = perfs[i-1]
 	}
-	s.step(OpShrink, iter, verts[0].perf, fmt.Sprintf("re-measured %d vertices", len(shrunk)))
-	return true
+	s.step(OpShrink, s.iter, verts[0].perf, fmt.Sprintf("re-measured %d vertices", len(verts)-1))
+	s.next(true)
 }
 
 // moveFrom returns centroid + coef*(centroid - from).
@@ -355,89 +409,108 @@ func moveFrom(centroid, from []float64, coef float64) []float64 {
 
 // nelderMeadSingle is the single-vertex simplex kernel. It commits the
 // sequential algorithm's trajectory; with opts.Parallel > 1 the initial
-// simplex and shrink steps are measured as one EvalBatch and each
-// iteration's candidates as one speculative round.
-func nelderMeadSingle(space *Space, ev *Evaluator, opts NelderMeadOptions) (*Result, error) {
-	probe := func(spec *Speculation, pt []float64) (float64, bool) {
-		_, perf, err := ev.EvalSpeculated(clampPoint(space, pt), spec)
-		return perf, err == nil
+// simplex and shrink steps are measured as one batch and each iteration's
+// candidates as one prefetch round.
+func (m *Machine) nelderMeadSingle(space *Space, opts NelderMeadOptions, then func(*Result, int, error)) {
+	m.runSimplex(space, opts, "", (*simplex).reflect, then)
+}
+
+// reflect runs one single-vertex iteration: it reflects the worst vertex
+// through the centroid of the others. All candidate points one iteration
+// can probe are known before any measurement: the reflection, the
+// expansion, and both contractions. With a parallel budget the kernel
+// measures them as one prefetch round, then commits only the ones the
+// sequential logic actually probes — in the sequential order — so the
+// committed trace is identical to the sequential kernel's while the
+// iteration's wall-clock shrinks to one measurement round.
+func (s *simplex) reflect(iter int, next func(bool)) {
+	if s.reflected == nil {
+		s.reflected, s.expanded, s.contracted = s.onReflect, s.onExpand, s.onContract
 	}
-	res, _, err := runSimplex(space, ev, opts, "", func(s *simplex, iter int) bool {
-		verts := s.verts
-		// Reflect the worst vertex through the centroid of the others.
-		centroid := s.centroid(len(verts) - 1)
-		worst := verts[len(verts)-1]
-		move := func(coef float64) []float64 { return moveFrom(centroid, worst.pt, coef) }
+	o := s.opts
+	s.iter, s.next = iter, next
+	s.center = s.centroid(len(s.verts) - 1)
+	s.worst = s.verts[len(s.verts)-1]
+	s.refl = s.move(o.Reflection)
+	s.pf = nil
+	if o.Parallel > 1 {
+		s.pf = s.m.ev.prefetch([]Config{
+			s.snap(s.refl),
+			s.snap(s.move(o.Reflection * o.Expansion)),
+			s.snap(s.move(o.Reflection * o.Contraction)),
+			s.snap(s.move(-o.Contraction)),
+		}, o.Parallel)
+	}
+	s.probe(s.refl, s.reflected)
+}
 
-		// All candidate points one iteration can probe are known before any
-		// measurement: the reflection, the expansion, and both contractions.
-		// With a parallel budget the kernel measures them speculatively as
-		// one concurrent round, then commits only the ones the sequential
-		// logic below actually probes — in the sequential order — so the
-		// committed trace is identical to the sequential kernel's while the
-		// iteration's wall-clock shrinks to one measurement round.
-		refl := move(opts.Reflection)
-		var spec *Speculation
-		if opts.Parallel > 1 {
-			spec = ev.Speculate([][]float64{
-				clampPoint(space, refl),
-				clampPoint(space, move(opts.Reflection*opts.Expansion)),
-				clampPoint(space, move(opts.Reflection*opts.Contraction)),
-				clampPoint(space, move(-opts.Contraction)),
-			}, opts.Parallel)
-		}
+func (s *simplex) move(coef float64) []float64 { return moveFrom(s.center, s.worst.pt, coef) }
 
-		// Reflection.
-		rPerf, ok := probe(spec, refl)
-		if !ok {
-			return false
+func (s *simplex) snap(pt []float64) Config { return s.space.Snap(clampPoint(s.space, pt)) }
+
+func (s *simplex) probe(pt []float64, then func(Config, float64, error)) {
+	s.pt = pt
+	s.m.probe(s.snap(pt), 0, s.pf, then)
+}
+
+// accept replaces the worst vertex and ends the iteration.
+func (s *simplex) accept(pt []float64, perf float64) {
+	s.verts[len(s.verts)-1] = vertex{pt: clampPoint(s.space, pt), perf: perf}
+	s.next(true)
+}
+
+func (s *simplex) onReflect(_ Config, rPerf float64, err error) {
+	if err != nil {
+		s.next(false)
+		return
+	}
+	o, verts := s.opts, s.verts
+	s.rPerf = rPerf
+	switch {
+	case s.better(rPerf, verts[0].perf):
+		s.step(OpReflect, s.iter, rPerf, "improved best; trying expansion")
+		s.probe(s.move(o.Reflection*o.Expansion), s.expanded)
+	case s.better(rPerf, verts[len(verts)-2].perf):
+		// Better than the second-worst: accept the reflection.
+		s.step(OpReflect, s.iter, rPerf, "accepted")
+		s.accept(s.refl, rPerf)
+	default:
+		// Contraction: outside if the reflection improved on the worst,
+		// inside otherwise.
+		s.step(OpReflect, s.iter, rPerf, "rejected; contracting")
+		coef := -o.Contraction
+		s.contrOp = OpContractIn
+		if s.better(rPerf, s.worst.perf) {
+			s.contrOp, coef = OpContractOut, o.Reflection*o.Contraction
 		}
-		switch {
-		case s.better(rPerf, verts[0].perf):
-			// Expansion.
-			s.step(OpReflect, iter, rPerf, "improved best; trying expansion")
-			exp := move(opts.Reflection * opts.Expansion)
-			ePerf, ok := probe(spec, exp)
-			if !ok {
-				return false
-			}
-			if s.better(ePerf, rPerf) {
-				s.step(OpExpand, iter, ePerf, "accepted")
-				verts[len(verts)-1] = vertex{pt: clampPoint(space, exp), perf: ePerf}
-			} else {
-				s.step(OpExpand, iter, ePerf, "rejected; kept reflection")
-				verts[len(verts)-1] = vertex{pt: clampPoint(space, refl), perf: rPerf}
-			}
-		case s.better(rPerf, verts[len(verts)-2].perf):
-			// Better than the second-worst: accept the reflection.
-			s.step(OpReflect, iter, rPerf, "accepted")
-			verts[len(verts)-1] = vertex{pt: clampPoint(space, refl), perf: rPerf}
-		default:
-			// Contraction (outside if the reflection improved on the worst,
-			// inside otherwise).
-			s.step(OpReflect, iter, rPerf, "rejected; contracting")
-			var contr []float64
-			contrOp := OpContractIn
-			if s.better(rPerf, worst.perf) {
-				contr = move(opts.Reflection * opts.Contraction)
-				contrOp = OpContractOut
-			} else {
-				contr = move(-opts.Contraction)
-			}
-			cPerf, ok := probe(spec, contr)
-			if !ok {
-				return false
-			}
-			if !s.better(cPerf, worst.perf) {
-				s.step(contrOp, iter, cPerf, "rejected; shrinking")
-				return s.shrink(iter)
-			}
-			s.step(contrOp, iter, cPerf, "accepted")
-			verts[len(verts)-1] = vertex{pt: clampPoint(space, contr), perf: cPerf}
-		}
-		return true
-	})
-	return res, err
+		s.probe(s.move(coef), s.contracted)
+	}
+}
+
+func (s *simplex) onExpand(_ Config, ePerf float64, err error) {
+	switch {
+	case err != nil:
+		s.next(false)
+	case s.better(ePerf, s.rPerf):
+		s.step(OpExpand, s.iter, ePerf, "accepted")
+		s.accept(s.pt, ePerf)
+	default:
+		s.step(OpExpand, s.iter, ePerf, "rejected; kept reflection")
+		s.accept(s.refl, s.rPerf)
+	}
+}
+
+func (s *simplex) onContract(_ Config, cPerf float64, err error) {
+	switch {
+	case err != nil:
+		s.next(false)
+	case !s.better(cPerf, s.worst.perf):
+		s.step(s.contrOp, s.iter, cPerf, "rejected; shrinking")
+		s.shrink(s.iter, s.next)
+	default:
+		s.step(s.contrOp, s.iter, cPerf, "accepted")
+		s.accept(s.pt, cPerf)
+	}
 }
 
 func clampPoint(space *Space, pt []float64) []float64 {

@@ -2,9 +2,7 @@ package search
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 )
 
 // Direction states whether larger or smaller objective values are better.
@@ -244,27 +242,23 @@ func (t Trace) InitialWindow(k int) Trace {
 // (config, fidelity)→perf memo with singleflight coalescing, optionally
 // backed by the §4.3 estimation gate (see the evalcache package).
 //
-// Contract: Lookup answers with a previously measured truth (estimated ==
-// false) or a gate estimate (estimated == true); Measure obtains the truth
-// for cfg, calling measure at most once across concurrent duplicate
-// requests (other callers of the same configuration share the one result)
-// and remembering it for future Lookups. Fidelity 0 (or ≥1) means full
-// fidelity. Reuse across fidelities is promotion-aware: a full-fidelity
-// truth may answer a lower-fidelity probe (the real number is strictly
-// better information than a noisy short run), but a low-fidelity
-// observation must never answer a full-fidelity probe. Lookup is only
-// called from the evaluator's own goroutine, in probe order; Measure may
-// be called from EvalBatch and Speculate worker goroutines, so
-// implementations must be safe for concurrent use.
+// Lookup answers with a measured truth or a gate estimate (estimated).
+// Claim asks, without blocking, for the truth of a point Lookup could not
+// answer: ok returns one that arrived since; a non-nil wait is a peer's
+// in-flight measurement, to Claim again (waited) once it closes; otherwise
+// the caller leads and owes one Settle — measured, or !measured to abandon
+// the point to its followers. Fidelity 0 (or ≥1) is full fidelity; a
+// full-fidelity truth may answer a lower-fidelity probe, never the
+// reverse. An Evaluator calls its layer from one goroutine at a time.
 //
-// Externally answered probes are committed to the trace exactly like
-// measurements (budget charge, trace index, tracer event), so with a
-// deterministic objective and exact-only answers the committed trajectory
-// is byte-identical to an uncached run — only the number of real objective
-// invocations drops.
+// External answers are committed exactly like measurements (budget charge,
+// trace index, tracer event), so with a deterministic objective and
+// exact-only answers the committed trajectory is byte-identical to an
+// uncached run — only the number of real objective invocations drops.
 type ExternalCache interface {
 	Lookup(cfg Config, fidelity float64) (perf float64, estimated, ok bool)
-	Measure(cfg Config, fidelity float64, measure func() float64) float64
+	Claim(cfg Config, fidelity float64, waited bool) (perf float64, wait <-chan struct{}, ok bool)
+	Settle(cfg Config, fidelity float64, perf float64, measured bool)
 }
 
 // Evaluator wraps an Objective with exploration counting, a snap-to-grid
@@ -297,11 +291,19 @@ type Evaluator struct {
 	cache map[string]float64
 	trace Trace
 	hits  int
-	// keyBuf is EvalConfig's reusable key scratch: probing the cache with
+	// keyBuf is the probe's reusable key scratch: probing the cache with
 	// string(keyBuf) compiles to an allocation-free map lookup, so only a
-	// committed measurement materializes its key string. Safe because
-	// EvalConfig runs on the evaluator's own goroutine.
+	// committed measurement materializes its key string. Safe because an
+	// evaluator is used from one goroutine at a time.
 	keyBuf []byte
+
+	// needs are the real measurements the open step waits on (see
+	// kernel.go); lastID numbers them for Ask and Tell; open is the batch
+	// round whose commits have not started, which Abort flushes.
+	needs  []*need
+	spare  *need
+	lastID int
+	open   *prefetch
 }
 
 // appendKey appends cfg's canonical key form (identical to Config.Key) to b.
@@ -336,17 +338,46 @@ func (e *Evaluator) EvalConfig(cfg Config) (Config, float64, error) {
 }
 
 // EvalConfigAt measures an exact grid configuration at the given fidelity
-// (0 or ≥1 is full). Reduced fidelity keys the dedup cache on (config,
-// fidelity) with promotion-aware reuse: a full-fidelity truth already in
-// the cache answers any probe, but a low-fidelity observation never
+// (0 or ≥1 is full), inline on the caller's goroutine. Reduced fidelity
+// keys the dedup cache on (config, fidelity) with promotion-aware reuse: a
+// full-fidelity truth answers any probe, a low-fidelity observation never
 // answers a full-fidelity one. Full-fidelity keys carry no suffix, so
 // trajectories are byte-identical when multi-fidelity is off.
 func (e *Evaluator) EvalConfigAt(cfg Config, fidelity float64) (Config, float64, error) {
+	perf, n, err := e.probe(cfg, fidelity, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	if n != nil {
+		Drive(NewMachine(e, nil), e, 1)
+		perf = e.commitNeed(n)
+	}
+	return cfg, perf, nil
+}
+
+// probe is every kernel's evaluation step: it commits and returns an
+// answer known without a measurement — a value of the prefetch round pf
+// (nil for none), a cache hit, an External answer, checked with the budget
+// in the sequential kernel's order — and otherwise queues a need, which
+// the caller commits with commitNeed once it is told.
+func (e *Evaluator) probe(cfg Config, fidelity float64, pf *prefetch) (float64, *need, error) {
 	if !e.Space.Contains(cfg) {
-		return nil, 0, fmt.Errorf("search: configuration %v not in space", cfg)
+		return 0, nil, fmt.Errorf("search: configuration %v not in space", cfg)
 	}
 	if FullFidelity(fidelity) {
 		fidelity = 0
+	}
+	if pf != nil {
+		key := cfg.Key()
+		if _, cached := e.cache[key]; !cached {
+			if n, ok := pf.value(key); ok {
+				if e.exhausted() {
+					return 0, nil, ErrBudget
+				}
+				e.commit(cfg, key, n.perf, n.estimated, 0)
+				return n.perf, nil, nil
+			}
+		}
 	}
 	e.keyBuf = appendKey(e.keyBuf[:0], cfg)
 	plain := len(e.keyBuf)
@@ -356,24 +387,35 @@ func (e *Evaluator) EvalConfigAt(cfg Config, fidelity float64) (Config, float64,
 	if !e.DisableCache {
 		if perf, ok := e.cache[string(e.keyBuf[:plain])]; ok { // alloc-free lookup of the truth
 			e.hit(cfg, perf, 0)
-			return cfg, perf, nil
+			return perf, nil, nil
 		}
 		if fidelity != 0 {
 			if perf, ok := e.cache[string(e.keyBuf)]; ok { // same-rung repeat
 				e.hit(cfg, perf, fidelity)
-				return cfg, perf, nil
+				return perf, nil, nil
 			}
 		}
 	}
-	if e.MaxEvals > 0 && len(e.trace) >= e.MaxEvals {
-		return nil, 0, ErrBudget
+	if e.exhausted() {
+		return 0, nil, ErrBudget
 	}
-	perf, estimated, ok := e.lookup(cfg, fidelity)
-	if !ok {
-		perf = e.measure(cfg, fidelity)
+	key := string(e.keyBuf)
+	if perf, estimated, ok := e.lookup(cfg, fidelity); ok {
+		e.commit(cfg, key, perf, estimated, fidelity)
+		return perf, nil, nil
 	}
-	e.commit(cfg, string(e.keyBuf), perf, estimated, fidelity)
-	return cfg, perf, nil
+	return 0, e.queue(cfg, key, fidelity), nil
+}
+
+// exhausted reports whether the evaluation budget is spent.
+func (e *Evaluator) exhausted() bool { return e.MaxEvals > 0 && len(e.trace) >= e.MaxEvals }
+
+// commitNeed commits a probe's told measurement. Its step is over, so the
+// next need reuses it.
+func (e *Evaluator) commitNeed(n *need) float64 {
+	e.commit(n.cfg, n.key, n.perf, false, n.fidelity)
+	e.spare = n
+	return n.perf
 }
 
 // hit counts a probe answered from the cache and emits its tracer event.
@@ -381,7 +423,7 @@ func (e *Evaluator) EvalConfigAt(cfg Config, fidelity float64) (Config, float64,
 func (e *Evaluator) hit(cfg Config, perf, fidelity float64) {
 	e.hits++
 	if e.Tracer != nil {
-		emit(e.Tracer, Event{Type: EventEval, Index: -1, Config: cfg.Clone(), Perf: perf, Cached: true, Fidelity: fidelity})
+		Emit(e.Tracer, Event{Type: EventEval, Index: -1, Config: cfg.Clone(), Perf: perf, Cached: true, Fidelity: fidelity})
 	}
 }
 
@@ -392,26 +434,26 @@ func appendFidelity(b []byte, f float64) []byte {
 	return strconv.AppendFloat(b, f, 'g', -1, 64)
 }
 
+// external returns the measure-once layer, nil when none is wired or the
+// cache is disabled (the ablation mode re-measures everything by design).
+func (e *Evaluator) external() ExternalCache {
+	if e.DisableCache {
+		return nil
+	}
+	return e.External
+}
+
 // lookup asks the external measure-once layer, when one is wired, for a
 // prior truth, a coalesced peer measurement or a gate estimate of cfg.
 func (e *Evaluator) lookup(cfg Config, fidelity float64) (perf float64, estimated, ok bool) {
-	if e.External == nil || e.DisableCache {
-		return 0, false, false
+	if x := e.external(); x != nil {
+		return x.Lookup(cfg, fidelity)
 	}
-	return e.External.Lookup(cfg, fidelity)
+	return 0, false, false
 }
 
-// measure obtains the truth for cfg: through the external layer's
-// singleflight when one is wired, from the objective otherwise. Only a
-// reduced-fidelity request shortens the objective's horizon, and only
-// when it implements FidelityObjective. Safe to call from round workers.
-func (e *Evaluator) measure(cfg Config, fidelity float64) float64 {
-	if e.External == nil || e.DisableCache {
-		return e.rawMeasure(cfg, fidelity)
-	}
-	return e.External.Measure(cfg, fidelity, func() float64 { return e.rawMeasure(cfg, fidelity) })
-}
-
+// rawMeasure calls the objective. Only a reduced-fidelity request
+// shortens its horizon, and only when it implements FidelityObjective.
 func (e *Evaluator) rawMeasure(cfg Config, fidelity float64) float64 {
 	if fo, ok := e.Objective.(FidelityObjective); ok && fidelity != 0 {
 		return fo.MeasureAt(cfg, fidelity)
@@ -420,8 +462,9 @@ func (e *Evaluator) rawMeasure(cfg Config, fidelity float64) float64 {
 }
 
 // commit appends one evaluation to the cache (under its precomputed key)
-// and trace and emits its tracer event. Must run on the evaluator's own
-// goroutine (commit order is the determinism guarantee). The trace entry
+// and trace and emits its tracer event. Commit order is the determinism
+// guarantee: kernels commit in probe order, whatever order measurements
+// are told in. The trace entry
 // and the tracer event share one clone — both treat the configuration as
 // immutable. A reduced-fidelity entry is cached under its fidelity-suffixed
 // key only, so it never answers a full-fidelity probe, and it carries its
@@ -432,7 +475,7 @@ func (e *Evaluator) commit(cfg Config, key string, perf float64, estimated bool,
 	kept := cfg.Clone()
 	e.trace = append(e.trace, Evaluation{Index: len(e.trace), Config: kept, Perf: perf, Estimated: estimated, Fidelity: fidelity})
 	if e.Tracer != nil {
-		emit(e.Tracer, Event{Type: EventEval, Index: len(e.trace) - 1, Config: kept, Perf: perf, Estimated: estimated, Fidelity: fidelity})
+		Emit(e.Tracer, Event{Type: EventEval, Index: len(e.trace) - 1, Config: kept, Perf: perf, Estimated: estimated, Fidelity: fidelity})
 	}
 }
 
@@ -443,7 +486,7 @@ func (e *Evaluator) Seed(cfg Config, perf float64) error {
 		return fmt.Errorf("search: seed configuration %v not in space", cfg)
 	}
 	e.cache[cfg.Key()] = perf
-	emit(e.Tracer, Event{Type: EventSeed, Index: -1, Config: cfg.Clone(), Perf: perf})
+	Emit(e.Tracer, Event{Type: EventSeed, Index: -1, Config: cfg.Clone(), Perf: perf})
 	return nil
 }
 
@@ -463,58 +506,6 @@ func (e *Evaluator) Trace() Trace {
 func (e *Evaluator) Known(cfg Config) (float64, bool) {
 	perf, ok := e.cache[cfg.Key()]
 	return perf, ok
-}
-
-// KnownConfigs returns all cached full-fidelity configurations in
-// deterministic order. Fidelity-suffixed triage entries are skipped: they
-// are noisy observations, not known truths.
-func (e *Evaluator) KnownConfigs() []Config {
-	keys := make([]string, 0, len(e.cache))
-	for k := range e.cache {
-		if strings.IndexByte(k, '@') >= 0 {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Config, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, parseKey(k))
-	}
-	return out
-}
-
-func parseKey(key string) Config {
-	parts := splitComma(key)
-	cfg := make(Config, len(parts))
-	for i, p := range parts {
-		v := 0
-		neg := false
-		for j := 0; j < len(p); j++ {
-			if p[j] == '-' {
-				neg = true
-				continue
-			}
-			v = v*10 + int(p[j]-'0')
-		}
-		if neg {
-			v = -v
-		}
-		cfg[i] = v
-	}
-	return cfg
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == ',' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, s[start:])
 }
 
 func abs(x float64) float64 {

@@ -197,30 +197,6 @@ func TestEvaluatorDisableCache(t *testing.T) {
 	}
 }
 
-func TestKnownConfigsRoundTrip(t *testing.T) {
-	s := MustSpace(Param{Name: "x", Min: -10, Max: 10, Step: 5, Default: 0})
-	ev := NewEvaluator(s, ObjectiveFunc(func(c Config) float64 { return float64(c[0]) }))
-	ev.EvalConfig(Config{-10})
-	ev.EvalConfig(Config{5})
-	ev.EvalConfig(Config{0})
-	got := ev.KnownConfigs()
-	if len(got) != 3 {
-		t.Fatalf("KnownConfigs len = %d, want 3", len(got))
-	}
-	seen := map[string]bool{}
-	for _, c := range got {
-		seen[c.Key()] = true
-		if !s.Contains(c) {
-			t.Errorf("KnownConfigs returned off-grid %v", c)
-		}
-	}
-	for _, want := range []string{"-10", "5", "0"} {
-		if !seen[want] {
-			t.Errorf("KnownConfigs missing %q", want)
-		}
-	}
-}
-
 func TestTracePerfs(t *testing.T) {
 	tr := Trace{{Perf: 1.5}, {Perf: 2.5}}
 	ps := tr.Perfs()

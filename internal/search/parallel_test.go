@@ -8,12 +8,30 @@ import (
 	"time"
 )
 
+// evalBatch drives one batch step — the kernels' initial simplex and
+// shrink — through Drive with the given worker count and returns the
+// committed prefix.
+func evalBatch(ev *Evaluator, pts [][]float64, workers int) (cfgs []Config, perfs []float64, err error) {
+	m := &Machine{ev: ev}
+	m.next = func() {
+		m.batch(pts, workers, func(p []float64, e error) {
+			perfs, err = p, e
+			m.Finish(nil, nil)
+		})
+	}
+	Drive(m, ev, workers)
+	for _, pt := range pts[:len(perfs)] {
+		cfgs = append(cfgs, ev.Space.Snap(pt))
+	}
+	return cfgs, perfs, err
+}
+
 func TestEvalBatchSequentialMatchesEval(t *testing.T) {
 	s, obj := quadSpace()
 	evA := NewEvaluator(s, obj)
 	evB := NewEvaluator(s, obj)
 	pts := [][]float64{{10, 20, 30}, {40, 50, 60}, {10, 20, 30}, {5, 5, 5}}
-	cfgs, perfs, err := evA.EvalBatch(pts, 1)
+	cfgs, perfs, err := evalBatch(evA, pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +65,7 @@ func TestEvalBatchParallelDeterministic(t *testing.T) {
 		if _, _, err := ev.Eval([]float64{40, 50, 60}); err != nil {
 			t.Fatal(err)
 		}
-		cfgs, perfs, err := ev.EvalBatch(pts, workers)
+		cfgs, perfs, err := evalBatch(ev, pts, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +133,7 @@ func TestEvalBatchActuallyConcurrent(t *testing.T) {
 	for i := range pts {
 		pts[i] = []float64{float64(i * 10)}
 	}
-	if _, _, err := ev.EvalBatch(pts, 4); err != nil {
+	if _, _, err := evalBatch(ev, pts, 4); err != nil {
 		t.Fatal(err)
 	}
 	if got := atomic.LoadInt32(&maxInflight); got < 2 {
@@ -131,7 +149,7 @@ func TestEvalBatchBudgetTruncation(t *testing.T) {
 	ev := NewEvaluator(s, ObjectiveFunc(func(c Config) float64 { return float64(c[0]) }))
 	ev.MaxEvals = 2
 	pts := [][]float64{{1}, {2}, {3}, {4}}
-	cfgs, perfs, err := ev.EvalBatch(pts, 3)
+	cfgs, perfs, err := evalBatch(ev, pts, 3)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -159,7 +177,7 @@ func TestEvalBatchUsesCache(t *testing.T) {
 	if _, _, err := ev.EvalConfig(Config{5}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := ev.EvalBatch([][]float64{{5}, {6}}, 2)
+	_, _, err := evalBatch(ev, [][]float64{{5}, {6}}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,12 +268,14 @@ func (w *warmingExternal) Lookup(cfg Config, _ float64) (float64, bool, bool) {
 	return 0, false, false
 }
 
-func (w *warmingExternal) Measure(cfg Config, _ float64, measure func() float64) float64 {
-	perf := measure()
+func (w *warmingExternal) Claim(Config, float64, bool) (float64, <-chan struct{}, bool) {
+	return 0, nil, false
+}
+
+func (w *warmingExternal) Settle(cfg Config, _ float64, _ float64, measured bool) {
 	w.mu.Lock()
-	w.seen[cfg[0]] = true
+	w.seen[cfg[0]] = measured
 	w.mu.Unlock()
-	return perf
 }
 
 // TestEvalBatchTraceIndependentOfLatency: with a stateful External layer,
@@ -272,7 +292,7 @@ func TestEvalBatchTraceIndependentOfLatency(t *testing.T) {
 			return float64(c[0])
 		}))
 		ev.External = &warmingExternal{seen: map[int]bool{}}
-		if _, _, err := ev.EvalBatch([][]float64{{10}, {20}, {30}}, 2); err != nil {
+		if _, _, err := evalBatch(ev, [][]float64{{10}, {20}, {30}}, 2); err != nil {
 			t.Fatal(err)
 		}
 		return ev.Trace()

@@ -7,9 +7,42 @@ import (
 	"time"
 )
 
+// speculate drives one prefetch round — the speculative kernel's
+// per-iteration candidates — through Drive and returns it uncommitted.
+func speculate(ev *Evaluator, pts [][]float64, workers int) *prefetch {
+	cfgs := make([]Config, len(pts))
+	for i, pt := range pts {
+		cfgs[i] = ev.Space.Snap(pt)
+	}
+	var pf *prefetch
+	m := &Machine{ev: ev}
+	m.next = func() {
+		pf = ev.prefetch(cfgs, workers)
+		m.next = func() { m.Finish(nil, nil) }
+	}
+	Drive(m, ev, workers)
+	return pf
+}
+
+// specLen reports how many distinct configurations the round measured or
+// had answered.
+func specLen(pf *prefetch) int { return len(pf.vals) }
+
+// evalSpeculated drives one probe of pt against the round pf: a value the
+// round measured is committed without measuring again.
+func evalSpeculated(ev *Evaluator, pt []float64, pf *prefetch) (cfg Config, perf float64, err error) {
+	m := &Machine{ev: ev}
+	m.probe(ev.Space.Snap(pt), 0, pf, func(c Config, p float64, e error) {
+		cfg, perf, err = c, p, e
+		m.Finish(nil, nil)
+	})
+	Drive(m, ev, 1)
+	return cfg, perf, err
+}
+
 // TestSpeculateMeasuresWithoutCommitting: a speculation round calls the
 // objective but leaves the evaluator untouched — no budget spend, no trace
-// entries, no cache pollution — until EvalSpeculated commits a point.
+// entries, no cache pollution — until a probe against it commits a point.
 func TestSpeculateMeasuresWithoutCommitting(t *testing.T) {
 	s := MustSpace(Param{Name: "x", Min: 0, Max: 100, Step: 1, Default: 0})
 	var mu sync.Mutex
@@ -22,9 +55,9 @@ func TestSpeculateMeasuresWithoutCommitting(t *testing.T) {
 	}))
 	ev.MaxEvals = 10
 
-	spec := ev.Speculate([][]float64{{1}, {2}, {3}, {2}}, 4)
-	if spec.Len() != 3 {
-		t.Errorf("spec.Len() = %d, want 3 (one duplicate coalesced)", spec.Len())
+	spec := speculate(ev, [][]float64{{1}, {2}, {3}, {2}}, 4)
+	if specLen(spec) != 3 {
+		t.Errorf("specLen(spec) = %d, want 3 (one duplicate coalesced)", specLen(spec))
 	}
 	if calls != 3 {
 		t.Errorf("objective calls = %d, want 3", calls)
@@ -35,7 +68,7 @@ func TestSpeculateMeasuresWithoutCommitting(t *testing.T) {
 
 	// Committing one point spends exactly one budget unit and does not call
 	// the objective again.
-	cfg, perf, err := ev.EvalSpeculated([]float64{2}, spec)
+	cfg, perf, err := evalSpeculated(ev, []float64{2}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +83,7 @@ func TestSpeculateMeasuresWithoutCommitting(t *testing.T) {
 	}
 
 	// A point outside the round falls back to a real evaluation.
-	if _, perf, err := ev.EvalSpeculated([]float64{9}, spec); err != nil || perf != 9 {
+	if _, perf, err := evalSpeculated(ev, []float64{9}, spec); err != nil || perf != 9 {
 		t.Fatalf("fallback eval: perf=%v err=%v", perf, err)
 	}
 	if calls != 4 {
@@ -72,16 +105,16 @@ func TestSpeculateRespectsBudget(t *testing.T) {
 		return float64(c[0])
 	}))
 	ev.MaxEvals = 1
-	spec := ev.Speculate([][]float64{{1}, {2}, {3}, {4}}, 4)
-	if spec.Len() != 1 || calls != 1 {
-		t.Errorf("spec.Len()=%d calls=%d, want 1/1 under MaxEvals=1", spec.Len(), calls)
+	spec := speculate(ev, [][]float64{{1}, {2}, {3}, {4}}, 4)
+	if specLen(spec) != 1 || calls != 1 {
+		t.Errorf("specLen(spec)=%d calls=%d, want 1/1 under MaxEvals=1", specLen(spec), calls)
 	}
-	if _, _, err := ev.EvalSpeculated([]float64{1}, spec); err != nil {
+	if _, _, err := evalSpeculated(ev, []float64{1}, spec); err != nil {
 		t.Fatal(err)
 	}
 	// Budget exhausted: committing another speculated value must refuse.
-	spec2 := &Speculation{perfs: map[string]float64{Config{2}.Key(): 2}}
-	if _, _, err := ev.EvalSpeculated([]float64{2}, spec2); !errors.Is(err, ErrBudget) {
+	spec2 := &prefetch{vals: map[string]*need{Config{2}.Key(): {state: needDone, perf: 2}}}
+	if _, _, err := evalSpeculated(ev, []float64{2}, spec2); !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
 	}
 
@@ -92,14 +125,14 @@ func TestSpeculateRespectsBudget(t *testing.T) {
 	ev3 := NewEvaluator(s, ev.Objective)
 	ev3.MaxEvals = 1
 	ev3.External = &fakeFidCache{store: map[string]float64{Config{1}.Key(): 1}}
-	spec3 := ev3.Speculate([][]float64{{1}, {2}, {3}}, 4)
+	spec3 := speculate(ev3, [][]float64{{1}, {2}, {3}}, 4)
 	if calls != 0 {
 		t.Errorf("objective calls = %d, want 0: the External answer of {1} exhausts MaxEvals=1", calls)
 	}
-	if _, perf, err := ev3.EvalSpeculated([]float64{1}, spec3); err != nil || perf != 1 {
+	if _, perf, err := evalSpeculated(ev3, []float64{1}, spec3); err != nil || perf != 1 {
 		t.Fatalf("commit {1}: perf=%v err=%v", perf, err)
 	}
-	if _, _, err := ev3.EvalSpeculated([]float64{2}, spec3); !errors.Is(err, ErrBudget) {
+	if _, _, err := evalSpeculated(ev3, []float64{2}, spec3); !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
 	}
 }
@@ -183,13 +216,11 @@ func panicObjective(panicAt int) Objective {
 
 var errSentinel = errors.New("measurement goroutine exploded")
 
-// TestEvalBatchWorkerPanicRecovered: a panic inside a parallel measurement
-// goroutine must unwind the *caller's* goroutine (the server depends on this
-// for partial-trace deposits on disconnect) instead of crashing the process.
-// Every cleanly measured point — before *and* after the panicking index — is
-// committed in input order: the panic path only fires when a session is
-// dying, and the deposited partial trace should keep everything the client
-// paid to measure.
+// TestEvalBatchWorkerPanicRecovered: a panic inside one of Drive's
+// measurement goroutines must unwind the *caller's* goroutine instead of
+// crashing the process. Every cleanly measured point — before *and* after
+// the panicking index — is committed in input order by Evaluator.Abort,
+// the same path that keeps a disconnected session's partial trace.
 func TestEvalBatchWorkerPanicRecovered(t *testing.T) {
 	s := MustSpace(Param{Name: "x", Min: 0, Max: 100, Step: 1, Default: 0})
 	ev := NewEvaluator(s, panicObjective(30))
@@ -198,7 +229,7 @@ func TestEvalBatchWorkerPanicRecovered(t *testing.T) {
 	var recovered any
 	func() {
 		defer func() { recovered = recover() }()
-		ev.EvalBatch(pts, 4)
+		evalBatch(ev, pts, 4)
 	}()
 	err, ok := recovered.(error)
 	if !ok || !errors.Is(err, errSentinel) {
@@ -234,7 +265,7 @@ func TestSpeculatePanicPropagatesWithoutCommit(t *testing.T) {
 	var recovered any
 	func() {
 		defer func() { recovered = recover() }()
-		ev.Speculate([][]float64{{10}, {20}, {30}}, 4)
+		speculate(ev, [][]float64{{10}, {20}, {30}}, 4)
 	}()
 	err, ok := recovered.(error)
 	if !ok || !errors.Is(err, errSentinel) {

@@ -158,9 +158,9 @@ func StampSession(t Tracer, session string) Tracer {
 	})
 }
 
-// emit is the nil-safe emission helper used by every instrumentation site:
+// Emit is the nil-safe emission helper every instrumentation site uses:
 // one branch when no tracer is installed, timestamping when there is one.
-func emit(t Tracer, e Event) {
+func Emit(t Tracer, e Event) {
 	if t == nil {
 		return
 	}

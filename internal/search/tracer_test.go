@@ -44,7 +44,7 @@ func TestTracerOrderingUnderParallel(t *testing.T) {
 		ev := NewEvaluator(tracerSpace(t), slowObjective(&mu, &calls))
 		var tr CollectTracer
 		ev.Tracer = &tr
-		if _, _, err := ev.EvalBatch(pts, workers); err != nil {
+		if _, _, err := evalBatch(ev, pts, workers); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if calls != 8 {

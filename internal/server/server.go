@@ -35,7 +35,7 @@ import (
 // sessions with a hard cutoff.
 type Server struct {
 	// MaxEvalsCap bounds per-session budgets regardless of what clients
-	// request (default 10,000).
+	// request. 0 (or negative) means DefaultMaxEvalsCap.
 	MaxEvalsCap int
 	// IdleTimeout disconnects clients that send nothing for this long
 	// (0 = no limit). Measuring one configuration must fit inside it.
@@ -73,9 +73,10 @@ type Server struct {
 	// interleaves sessions demultiplexably. The sink must be safe for
 	// concurrent Emit. Set it before Listen.
 	Tracer search.Tracer
-	// OnSessionEnd, when set, is called after a session's message loop and
-	// kernel goroutine have both finished — one call per session, from the
-	// goroutine that ran it. Intended for metrics and tests.
+	// OnSessionEnd, when set, is called once a session's message loop has
+	// finished and its trace (possibly partial) has been deposited — one
+	// call per session, from the goroutine that ran it. Intended for
+	// metrics and tests.
 	OnSessionEnd func(SessionEnd)
 	// Experience is the cross-session prior-run store: sessions that
 	// declare workload characteristics deposit their tuning traces and
@@ -298,9 +299,13 @@ type SessionEnd struct {
 	Err error
 }
 
+// DefaultMaxEvalsCap is the per-session budget cap applied when
+// Server.MaxEvalsCap is not positive.
+const DefaultMaxEvalsCap = 10_000
+
 // NewServer returns a server with defaults.
 func NewServer() *Server {
-	return &Server{MaxEvalsCap: 10_000}
+	return &Server{MaxEvalsCap: DefaultMaxEvalsCap}
 }
 
 // tab resolves the sharded live-connection table, building it on first use
@@ -411,8 +416,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 	}
-	// Hard cutoff: sever every remaining connection. Handlers unwind, the
-	// kernel goroutines deposit partial traces, and the wait completes.
+	// Hard cutoff: sever every remaining connection. Handlers unwind,
+	// deposit their sessions' partial traces, and the wait completes.
 	severed := s.tab().Close()
 	<-done
 	drain := time.Since(start)
@@ -471,32 +476,9 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// evalReq is one pending measurement crossing from the kernel to the
-// message loop: the client-facing configuration plus the reply channel the
-// requesting objective call blocks on. Carrying the reply per-request (the
-// channel is buffered so the loop never blocks on delivery) is what lets a
-// pipelined session resolve out-of-order reports to the right waiting
-// kernel goroutine.
-type evalReq struct {
-	cfg search.Config
-	// fidelity is the requested measurement fidelity: 0 means full (the
-	// field stays off the wire), f ∈ (0, 1) asks the client for a cheap
-	// partial measurement (multi-fidelity kernels only).
-	fidelity float64
-	reply    chan float64
-}
-
-// replyChanPool recycles evalReq reply channels across measurements and
-// sessions — one per evaluation otherwise, which is the single hottest
-// allocation site on the measurement path. A channel may be returned only
-// when it is provably empty and unreferenced: consumed by the kernel, or
-// never handed to the message loop. The abort-without-reply path drops the
-// channel instead — a late delivery may still be in flight there.
-var replyChanPool = sync.Pool{New: func() any { return make(chan float64, 1) }}
-
 // session is one tuning session, whatever its framing: the bookkeeping its
-// lifecycle carries from openSession to endSession, and the bridge between
-// the blocking search kernel and the fetch/report message loop.
+// lifecycle carries from openSession to endSession, and the search kernel
+// its message loop drives on the session's own goroutine.
 type session struct {
 	id  string
 	log *slog.Logger
@@ -507,38 +489,38 @@ type session struct {
 	// stream and the message loop keep it current, the API snapshots it.
 	state *sessionState
 
-	space *search.Space
 	names []string
 	dir   search.Direction
 	// penalty is the worst-case performance used to score failed
 	// evaluations (search.FailurePenalty for the session's direction).
 	penalty float64
-	// bestToWire maps the kernel's best configuration (which lives in the
-	// searched space — normalized coordinates for restricted specs) to the
-	// client-facing parameter values. Configurations flowing through evals
-	// are already client-facing.
-	bestToWire func(search.Config) []int
+	// toWire maps a kernel-space configuration (normalized coordinates for
+	// restricted specs) to the client-facing parameter values.
+	toWire func(search.Config) ([]int, error)
 	// window is the granted pipeline depth: 1 is the lockstep v1 exchange,
 	// >1 the pipelined v2 exchange with up to window outstanding
-	// configurations and a kernel measuring that many points concurrently.
-	window   int
-	evals    chan evalReq
-	resultCh chan *search.Result
-	errCh    chan error
-	abort    chan struct{}
-	// kernelDone closes when the kernel goroutine has fully unwound (and
-	// any partial-trace deposit has happened); nil until the kernel starts.
-	// endSession waits on it, so Server.Shutdown transitively waits for
-	// kernels too.
-	kernelDone chan struct{}
-	warm       bool // a prior experience seeded this session
-	// deposited is written by the kernel goroutine before kernelDone
-	// closes and read by endSession after it — no lock needed.
-	deposited bool
+	// configurations, as many as one kernel step asks for at once.
+	window int
+	warm   bool // a prior experience seeded this session
+
+	kernel search.Kernel     // nil until registration succeeds
+	ev     *search.Evaluator // the kernel's commit point
+	// store and key address the session's experience namespace.
+	// depositedThrough and depositChars are the per-phase deposit cursor:
+	// each drift boundary deposits the segment since the previous one under
+	// the finished phase's workload vector, and the final (or partial)
+	// deposit covers the tail. A session that never drifts deposits its
+	// whole trace under the registered characteristics.
+	store            Store
+	key              string
+	depositedThrough int
+	depositChars     []float64
+	concluded        bool // the kernel finished or failed (see conclude)
+	deposited        bool
 	// detector is the session's workload-drift detector, nil unless the
 	// server enables detection and the registration carried
-	// characteristics. The message loop observes into it; the kernel
-	// goroutine reads and rebases it.
+	// characteristics. Reports feed it; the kernel's ExtraRestart poll
+	// rebases it.
 	detector *drift.Detector
 	// tracer is the session's stamped trace stream (set at registration),
 	// kept here so the message loop can emit drift events onto the same
@@ -546,7 +528,7 @@ type session struct {
 	tracer search.Tracer
 	// driftPending hands a detector trip from the message loop to the
 	// kernel's next ExtraRestart poll.
-	driftPending atomic.Bool
+	driftPending bool
 }
 
 // noteChars folds one report's observed workload characteristics into the
@@ -560,7 +542,7 @@ func (sess *session) noteChars(chars []float64) {
 	dist, fired := sess.detector.Observe(chars)
 	sess.state.setDriftDistance(dist)
 	if fired {
-		sess.driftPending.Store(true)
+		sess.driftPending = true
 		st := sess.detector.Status()
 		sess.tracer.Emit(search.Event{
 			Time: time.Now(), Type: search.EventDrift,
@@ -570,8 +552,54 @@ func (sess *session) noteChars(chars []float64) {
 	}
 }
 
-// errAborted signals the kernel goroutine that the client went away.
-var errAborted = errors.New("server: session aborted")
+// ask and tell step the kernel (see settle).
+func (sess *session) ask() (id int, cfg search.Config, fidelity float64, ok bool, err error) {
+	defer sess.recoverKernel(&err)
+	id, cfg, fidelity, ok = sess.kernel.Ask()
+	return id, cfg, fidelity, ok, sess.settle()
+}
+
+func (sess *session) tell(id int, perf float64) (err error) {
+	defer sess.recoverKernel(&err)
+	sess.kernel.Tell(id, perf)
+	return sess.settle()
+}
+
+// recoverKernel turns a kernel panic into this session's error alone.
+func (sess *session) recoverKernel(err *error) {
+	if rec := recover(); rec != nil {
+		*err = fmt.Errorf("server: kernel panic: %v", rec)
+		sess.conclude(nil)
+	}
+}
+
+// settle checks the kernel after a step: a failed search is the session's
+// error, a finished one concludes the session's search.
+func (sess *session) settle() error {
+	res, err := sess.kernel.Result()
+	if res != nil || err != nil {
+		sess.conclude(res)
+	}
+	return err
+}
+
+// conclude ends the kernel's part of the session, once. A finished search
+// (res non-nil) deposits the trace past the drift cursor for future
+// sessions — Measured() only, so neither gate estimates nor low-fidelity
+// triage enter the prior-run store. The re-tune window closes, accounting
+// for a request the race let in.
+func (sess *session) conclude(res *search.Result) {
+	if sess.concluded {
+		return
+	}
+	sess.concluded = true
+	if res != nil {
+		sess.deposited = sess.store.Record(sess.key, sess.depositChars, sess.dir, res.Trace[sess.depositedThrough:].Measured())
+	}
+	if sess.state.closeRetunes() {
+		sess.log.Warn("re-tune request arrived after the kernel's final poll; dropped", "app", sess.end.App)
+	}
+}
 
 // errClosedBeforeRegister ends a connection that went away before its
 // register envelope arrived.
@@ -640,16 +668,32 @@ func (s *Server) register(sess *session, reg message, lo loop) error {
 	return nil
 }
 
-// endSession is the last step of every session's lifecycle: unblock the
-// kernel and wait for it to unwind (an abnormal end deposits the partial
-// trace before kernelDone closes, so prior-run data is never lost, §4.2),
-// then report the end to the metrics bundle, the structured logger, the
-// state registry and the OnSessionEnd hook.
+// endSession is the last step of every session's lifecycle: an unfinished
+// kernel is aborted and its partial trace deposited, then the end is
+// reported to the metrics bundle, the structured logger, the state
+// registry and the OnSessionEnd hook.
 func (s *Server) endSession(sess *session, err error) {
 	end := &sess.end
-	if sess.kernelDone != nil {
-		close(sess.abort)
-		<-sess.kernelDone
+	if sess.kernel != nil {
+		// Measurements led here and never reported are abandoned, so peers
+		// following them claim them anew; an open batch first commits the
+		// values it obtained.
+		sess.ev.Abort()
+		if !sess.concluded {
+			// Deposit whatever was measured, so the experience survives for
+			// future sessions (§4.2) — and say so: a silently dropped (or
+			// silently kept) partial trace is invisible to operators
+			// otherwise. Only the tail past the drift cursor goes in,
+			// without gate estimates.
+			tr := sess.ev.Trace()
+			sess.deposited = sess.store.Record(sess.key, sess.depositChars, sess.dir, tr[sess.depositedThrough:].Measured())
+			if sess.deposited {
+				s.m().PartialDeposits.Inc()
+			}
+			sess.log.Warn("abnormal disconnect: partial trace",
+				"trace_len", len(tr), "deposited", sess.deposited, "app", end.App)
+			sess.conclude(nil)
+		}
 		end.Warm = sess.warm
 		end.Deposited = sess.deposited
 	}
@@ -886,10 +930,11 @@ func (s *Server) serve(conn net.Conn, sess *session, shard int, connID string) {
 }
 
 // serveSession is the message loop every registered session runs, on every
-// framing. It answers the registration, then hands the kernel's
-// configurations to the client against fetch credits and feeds the reports
-// back, until the final best goes out, the client quits or the session
-// fails.
+// framing. It answers the registration, then asks the kernel for
+// configurations against the client's fetch credits and tells it the
+// reports, until the final best goes out, the client quits or the session
+// fails. The kernel runs on this goroutine; a point a peer session is
+// already measuring is one more select arm (Evaluator.Wait).
 //
 // A window-1 session is the protocol v1 lockstep exchange: one fetch, one
 // config, one report, strictly alternating. It reads inline on this
@@ -908,8 +953,8 @@ func (s *Server) serve(conn net.Conn, sess *session, shard int, connID string) {
 // pipeline, and reports arrive out of order keyed by correlation id. The
 // loop selects on one inbound channel — a mux session's inbox, or on a
 // plain connection a reader goroutine's feed — so a fetch that cannot be
-// answered yet (the kernel is between points) never blocks report
-// processing.
+// answered yet (the kernel waits on outstanding reports) never blocks
+// report processing.
 func (s *Server) serveSession(sess *session, lo loop) error {
 	lockstep := sess.window == 1
 	reply := message{Op: "registered", Names: sess.names, Warm: sess.warm}
@@ -934,13 +979,10 @@ func (s *Server) serveSession(sess *session, lo loop) error {
 	}
 
 	m := s.m()
-	// out holds the configurations awaiting reports with their correlation
-	// ids (always 0 at window 1, where none goes on the wire). A value
-	// array, not a map: it stays on the stack at small windows.
-	type flight struct {
-		id  int
-		req evalReq
-	}
+	// out holds the configurations awaiting reports: wire id (0 at window
+	// 1) and kernel id. A value array, not a map: it stays on the stack at
+	// small windows.
+	type flight struct{ id, kid int }
 	var buf [4]flight
 	out := buf[:0]
 	credits := 0 // fetches received and not yet answered
@@ -952,16 +994,62 @@ func (s *Server) serveSession(sess *session, lo loop) error {
 			m.SessionOutstanding.Dec()
 		}
 	}()
-	// settle retires out[i] and hands its score to the waiting kernel call.
-	settle := func(i int, perf float64) {
-		req := out[i].req
+	// retire takes out[i] off the wire and tells the kernel its score.
+	retire := func(i int, perf float64) error {
+		kid := out[i].kid
 		out[i] = out[len(out)-1]
 		out = out[:len(out)-1]
 		sess.state.outstanding.Store(int64(len(out)))
 		m.SessionOutstanding.Dec()
-		req.reply <- perf // buffered: the kernel picks it up
+		return sess.tell(kid, perf)
 	}
 	for {
+		// Answer every fetch credit the kernel can answer now.
+		for credits > 0 && len(out) < sess.window {
+			kid, kcfg, fid, ok, err := sess.ask()
+			if err != nil {
+				return lo.fail(err.Error())
+			}
+			if !ok {
+				break
+			}
+			values, err := sess.toWire(kcfg)
+			if err != nil {
+				return lo.fail(err.Error())
+			}
+			credits--
+			cfg := message{Op: "config", Values: values, Fidelity: fid}
+			if !lockstep {
+				cfg.id, cfg.hasID = nextID, true
+				nextID++
+			}
+			out = append(out, flight{cfg.id, kid})
+			sess.state.outstanding.Store(int64(len(out)))
+			m.ConfigsServed.Inc(lo.shard)
+			m.SessionOutstanding.Inc()
+			m.BatchSize.Observe(float64(len(out)))
+			if err := lo.tr.send(cfg); err != nil {
+				return err
+			}
+		}
+		// The final best answers a credit; the kernel finishes only after
+		// every outstanding report, so best never overtakes one.
+		if res, _ := sess.kernel.Result(); res != nil && credits > 0 {
+			best := message{Op: "best", Evals: res.Evals, Perf: res.BestPerf}
+			if len(res.BestConfig) > 0 {
+				values, err := sess.toWire(res.BestConfig)
+				if err != nil {
+					return lo.fail(err.Error())
+				}
+				best.Values = values
+			}
+			err := lo.tr.send(best)
+			if err == nil {
+				sess.end.Completed = true
+			}
+			return err
+		}
+
 		var it muxItem
 		if lockstep && credits == 0 {
 			msg, err := lo.tr.recv()
@@ -974,18 +1062,14 @@ func (s *Server) serveSession(sess *session, lo loop) error {
 			}
 			it.m = msg
 		} else {
-			// Arms are enabled only when legal: the kernel's next point needs
-			// a credit and window room; the final best needs a credit to
-			// answer (the kernel only finishes after every outstanding report
-			// arrived, so best never overtakes one). A lockstep session with
-			// a credit waits on the kernel alone (in is nil).
-			var evalC chan evalReq
-			var resC chan *search.Result
-			if credits > 0 {
-				resC = sess.resultCh
-				if len(out) < sess.window {
-					evalC = sess.evals
-				}
+			// A credit the kernel could not answer waits on a peer's flight
+			// (a lockstep session's, with in nil, on that alone).
+			var wait <-chan struct{}
+			if credits > 0 && len(out) < sess.window {
+				wait = sess.ev.Wait()
+			}
+			if in == nil && wait == nil {
+				return lo.fail("server: kernel stalled with nothing to measure")
 			}
 			var ok bool
 			select {
@@ -993,34 +1077,8 @@ func (s *Server) serveSession(sess *session, lo loop) error {
 				if !ok {
 					return s.recvEnd(*term, lo)
 				}
-			case req := <-evalC:
-				credits--
-				cfg := message{Op: "config", Values: req.cfg, Fidelity: req.fidelity}
-				if !lockstep {
-					cfg.id, cfg.hasID = nextID, true
-					nextID++
-				}
-				out = append(out, flight{cfg.id, req})
-				sess.state.outstanding.Store(int64(len(out)))
-				m.ConfigsServed.Inc(lo.shard)
-				m.SessionOutstanding.Inc()
-				m.BatchSize.Observe(float64(len(out)))
-				if err := lo.tr.send(cfg); err != nil {
-					return err
-				}
-				continue
-			case res := <-resC:
-				best := message{Op: "best", Evals: res.Evals, Perf: res.BestPerf}
-				if len(res.BestConfig) > 0 {
-					best.Values = sess.bestToWire(res.BestConfig)
-				}
-				err := lo.tr.send(best)
-				if err == nil {
-					sess.end.Completed = true
-				}
-				return err
-			case err := <-sess.errCh:
-				return lo.fail(err.Error())
+			case <-wait:
+				continue // the next ask picks the flight's result up
 			}
 		}
 
@@ -1043,7 +1101,9 @@ func (s *Server) serveSession(sess *session, lo loop) error {
 				if err := lo.charge("fetch while a report is pending — scoring the lost point as failed"); err != nil {
 					return err
 				}
-				settle(0, sess.penalty)
+				if err := retire(0, sess.penalty); err != nil {
+					return lo.fail(err.Error())
+				}
 			}
 			credits++
 		case "report":
@@ -1080,7 +1140,9 @@ func (s *Server) serveSession(sess *session, lo loop) error {
 			}
 			m.ReportsReceived.Inc(lo.shard)
 			sess.noteChars(it.m.Characteristics)
-			settle(i, perf)
+			if err := retire(i, perf); err != nil {
+				return lo.fail(err.Error())
+			}
 			if lockstep && lo.acks() {
 				if err := lo.tr.send(message{Op: "ok"}); err != nil {
 					return err
@@ -1123,10 +1185,9 @@ func pump(tr transport, in chan<- muxItem, term *error, stop <-chan struct{}) {
 }
 
 // startSession parses the registration, builds the session's search space
-// (using the Appendix B adapter for restricted specs) and launches its
-// kernel goroutine.
+// (using the Appendix B adapter for restricted specs) and its kernel.
 func (s *Server) startSession(sess *session, reg message) error {
-	id, st, log := sess.id, sess.state, sess.log
+	st, log := sess.state, sess.log
 	spec, err := rsl.Parse(reg.RSL)
 	if err != nil {
 		return err
@@ -1139,9 +1200,13 @@ func (s *Server) startSession(sess *session, reg message) error {
 	default:
 		return fmt.Errorf("server: unknown direction %q", reg.Direction)
 	}
+	maxCap := s.MaxEvalsCap
+	if maxCap <= 0 {
+		maxCap = DefaultMaxEvalsCap // the evaluator reads a budget of 0 as unlimited
+	}
 	maxEvals := reg.MaxEvals
-	if maxEvals <= 0 || maxEvals > s.MaxEvalsCap {
-		maxEvals = s.MaxEvalsCap
+	if maxEvals <= 0 || maxEvals > maxCap {
+		maxEvals = maxCap
 	}
 
 	window := 1
@@ -1156,53 +1221,8 @@ func (s *Server) startSession(sess *session, reg message) error {
 	sess.dir = dir
 	sess.penalty = search.FailurePenalty(dir)
 	sess.window = window
-	sess.evals = make(chan evalReq)
-	sess.resultCh = make(chan *search.Result, 1)
-	sess.errCh = make(chan error, 1)
-	sess.abort = make(chan struct{})
-
-	// The inversion objective: hand the configuration to the message loop
-	// and block until the client reports its performance. Each call
-	// carries its own reply channel, so up to `window` of these may block
-	// concurrently (the kernel's parallel batch and speculation phases)
-	// and out-of-order reports resolve to the right caller. Full fidelity
-	// is normalized to 0 here so the wire field stays absent and
-	// single-fidelity exchanges remain byte-identical on every framing.
-	blockMeasure := func(cfg search.Config, fidelity float64) float64 {
-		if search.FullFidelity(fidelity) {
-			fidelity = 0
-		}
-		req := evalReq{cfg: cfg, fidelity: fidelity, reply: replyChanPool.Get().(chan float64)}
-		select {
-		case sess.evals <- req:
-		case <-sess.abort:
-			// Never reached the message loop: the channel is still empty.
-			replyChanPool.Put(req.reply)
-			panic(errAborted)
-		}
-		select {
-		case perf := <-req.reply:
-			replyChanPool.Put(req.reply)
-			return perf
-		case <-sess.abort:
-			// The abort may race a reply the message loop already delivered
-			// (the reply channel is buffered): a measurement the client paid
-			// for must be committed, not discarded, so the partial trace
-			// keeps every reported point.
-			select {
-			case perf := <-req.reply:
-				replyChanPool.Put(req.reply)
-				return perf
-			default:
-				// The loop may still deliver a late reply into this channel;
-				// it cannot be recycled.
-			}
-			panic(errAborted)
-		}
-	}
 
 	var space *search.Space
-	var obj search.Objective
 	if spec.Restricted() {
 		// Search normalized coordinates; decode before the client sees them.
 		adapterSpace, _, err := spec.SearchAdapter(nil, 64)
@@ -1211,30 +1231,24 @@ func (s *Server) startSession(sess *session, reg message) error {
 		}
 		space = adapterSpace
 		g := float64(adapterSpace.Params[0].Max)
-		decodeCfg := func(cfg search.Config) search.Config {
+		sess.toWire = func(cfg search.Config) ([]int, error) {
 			u := make([]float64, len(cfg))
 			for i, v := range cfg {
 				u[i] = float64(v) / g
 			}
 			dec, err := spec.Decode(u)
 			if err != nil {
-				panic(fmt.Sprintf("server: decode failed: %v", err))
+				return nil, fmt.Errorf("server: decode failed: %v", err)
 			}
-			return dec
+			return dec, nil
 		}
-		sess.bestToWire = func(cfg search.Config) []int { return decodeCfg(cfg) }
-		obj = search.FidelityObjectiveFunc(func(cfg search.Config, fidelity float64) float64 {
-			return blockMeasure(decodeCfg(cfg), fidelity)
-		})
 	} else {
 		space, err = spec.Static()
 		if err != nil {
 			return err
 		}
-		sess.bestToWire = func(cfg search.Config) []int { return cfg }
-		obj = search.FidelityObjectiveFunc(blockMeasure)
+		sess.toWire = func(cfg search.Config) ([]int, error) { return cfg, nil }
 	}
-	sess.space = space
 
 	var init search.InitStrategy = search.ExtremeInit{}
 	if reg.Improved {
@@ -1244,6 +1258,7 @@ func (s *Server) startSession(sess *session, reg message) error {
 	// specification, when the client told us what workload it is serving.
 	key := specKey(reg.App, spec)
 	store := s.store()
+	sess.store, sess.key, sess.depositChars = store, key, reg.Characteristics
 	// priorCfgs doubles as the multi-fidelity sampling prior: the same
 	// best-of-experience configurations that seed the simplex center the
 	// hyperband kernel's candidate distribution.
@@ -1269,171 +1284,109 @@ func (s *Server) startSession(sess *session, reg message) error {
 	// The session's state twin mirrors registration outcome and, through
 	// the tracer fan-out below, every kernel event — the control plane's
 	// read path.
-	st.registered(reg.App, dir, space.Dim(), window, sess.warm, sess.bestToWire)
+	toWire := sess.toWire // not sess: the registry keeps finished states
+	st.registered(reg.App, dir, space.Dim(), window, sess.warm, func(cfg search.Config) []int {
+		values, _ := toWire(cfg)
+		return values
+	})
 
-	// The kernel owns the evaluator: holding it here (instead of inside
-	// NelderMead) lets the abort path read the partial trace after the
-	// kernel has unwound. The state twin rides the same trace stream as
-	// the configured sink, so the control plane sees exactly what the
-	// JSONL trace records.
-	ev := search.NewEvaluator(space, obj)
+	// The session's client is the objective: the message loop measures
+	// every point the kernel asks for. The state twin rides the same trace
+	// stream as the configured sink, so the control plane sees exactly what
+	// the JSONL trace records.
+	ev := search.NewEvaluator(space, nil)
 	ev.MaxEvals = maxEvals
-	tracer := search.StampSession(search.MultiTracer(st, s.Tracer), id)
+	tracer := search.StampSession(search.MultiTracer(st, s.Tracer), sess.id)
 	ev.Tracer = tracer
 	sess.tracer = tracer
+	sess.ev = ev
 	// The measure-once layer: exact hits (this session, peers, prior runs)
 	// and coalesced in-flight duplicates skip the client round-trip; the
 	// optional estimation gate answers well-supported probes from the §4.3
 	// plane fit. The layer keys by kernel-space configurations — the same
 	// coordinates experiences are stored in — so warm fills and live
-	// probes meet in one namespace. Cancel ties follower waits to this
-	// session's lifetime.
-	layer := s.evalLayer(key, space, sess.abort)
+	// probes meet in one namespace.
+	layer := s.evalLayer(key, space)
 	if layer != nil {
 		ev.External = layer
 	}
 
-	sess.kernelDone = make(chan struct{})
-	go func() {
-		defer close(sess.kernelDone)
-		// The kernel's last ExtraRestart poll happens inside the search
-		// call; once the goroutine unwinds, a re-tune request could only be
-		// dropped on the floor — close the window so the API refuses instead
-		// (and account for the one request the race may have let in).
-		defer func() {
-			if st.closeRetunes() {
-				log.Warn("re-tune request arrived after the kernel's final poll; dropped", "app", reg.App)
+	nmOpts := search.NelderMeadOptions{
+		Init:      init,
+		Direction: dir,
+		MaxEvals:  maxEvals,
+		// A pipelined session's kernel asks for up to window points per
+		// step; window 1 is the sequential lockstep kernel.
+		Parallel: window,
+		Tracer:   tracer,
+		// A pending workload drift or an operator's re-tune request
+		// (control plane) funds one more reduced-scale restart at the
+		// next convergence decision.
+		ExtraRestart: st.takeRetune,
+	}
+	if det := sess.detector; det != nil {
+		nmOpts.ExtraRestart = func() bool {
+			if !sess.driftPending {
+				return st.takeRetune()
 			}
-		}()
-		// depositedThrough and depositChars are the per-phase deposit
-		// cursor: every drift boundary deposits the trace segment measured
-		// since the previous boundary under the finished phase's workload
-		// identity, then the final deposit covers the tail under the last
-		// phase's live vector. A session that never drifts deposits its
-		// whole trace under the registered characteristics — the historical
-		// behaviour, bit for bit.
-		depositedThrough := 0
-		depositChars := reg.Characteristics
-		defer func() {
-			if rec := recover(); rec != nil {
-				err, isErr := rec.(error)
-				// evalcache.ErrCanceled is a follower wait cut short by this
-				// session's abort — the same "client went away" condition as
-				// errAborted, surfacing through the measure-once layer.
-				if isErr && (errors.Is(err, errAborted) || errors.Is(err, evalcache.ErrCanceled)) {
-					// Abnormal disconnect: deposit whatever was measured so
-					// the experience survives for future sessions (§4.2) —
-					// and say so: a silently dropped (or silently kept)
-					// partial trace is invisible to operators otherwise.
-					// Measured() keeps gate estimates out of the store: an
-					// estimate must never masquerade as prior-run truth.
-					// Only the tail past the per-phase deposit cursor goes
-					// in: segments before a drift boundary were already
-					// deposited under their own phase's identity.
-					tr := ev.Trace()
-					sess.deposited = store.Record(key, depositChars, dir, tr[depositedThrough:].Measured())
-					if sess.deposited {
-						s.m().PartialDeposits.Inc()
-					}
-					log.Warn("abnormal disconnect: partial trace",
-						"trace_len", len(tr), "deposited", sess.deposited, "app", reg.App)
-					return
-				}
-				sess.errCh <- fmt.Errorf("server: kernel panic: %v", rec)
+			sess.driftPending = false
+			// Warm in-session re-tune at a drift boundary. First close out
+			// the finished phase: its measurements become a prior-run
+			// experience under the workload identity they were measured
+			// on, so future sessions of that mix warm-start from them.
+			tr := ev.Trace()
+			if store.Record(key, sess.depositChars, dir, tr[sess.depositedThrough:].Measured()) {
+				st.notePhaseDeposit()
+				s.m().Deposits.Inc()
 			}
-		}()
-		nmOpts := search.NelderMeadOptions{
-			Init:      init,
-			Direction: dir,
-			MaxEvals:  maxEvals,
-			// A pipelined session turns the window into kernel-side
-			// concurrency: the initial simplex, shrink steps and the
-			// speculative candidate rounds evaluate up to window points
-			// at once through blockMeasure. window 1 is the sequential
-			// lockstep kernel, unchanged.
-			Parallel: sess.window,
-			Tracer:   tracer,
-			// A pending workload drift or an operator's re-tune request
-			// (control plane) funds one more reduced-scale restart at the
-			// next convergence decision.
-			ExtraRestart: st.takeRetune,
-		}
-		if det := sess.detector; det != nil {
-			nmOpts.ExtraRestart = func() bool {
-				if !sess.driftPending.CompareAndSwap(true, false) {
-					return st.takeRetune()
-				}
-				// Warm in-session re-tune at a drift boundary. First close
-				// out the finished phase: its measurements become a prior-run
-				// experience under the workload identity they were measured
-				// on, so future sessions of that mix warm-start from them.
-				tr := ev.Trace()
-				if store.Record(key, depositChars, dir, tr[depositedThrough:].Measured()) {
-					st.notePhaseDeposit()
-					s.m().Deposits.Inc()
-				}
-				depositedThrough = len(tr)
-				// Exact memo entries are real measurements of real
-				// configurations and stay valid (the objective is what
-				// changed, and the memo is keyed per-configuration truth the
-				// client re-reports anyway); the gate's plane fits are
-				// interpolations of pre-drift truth and must go. The gate is
-				// shared namespace-wide, so this flush acts for every peer
-				// session of the key — DriftDetect documents the assumption
-				// that they all observe the same live application.
-				if layer != nil && layer.Gate != nil {
-					layer.Gate.Flush()
-				}
-				// Re-match the classifier against the live vector: the new
-				// phase may be one the server has seen before. Either way the
-				// detector rebases — on the matched centroid, or on the live
-				// vector itself — and re-arms for the next episode.
-				live := det.Live()
-				depositChars = live
-				ref, note := live, "no prior experience matched; tracking the live vector"
-				if exp, ok := store.Match(key, live); ok {
-					ref, note = exp.Characteristics, "re-matched a prior experience"
-				}
-				det.Rebase(ref)
-				ds := det.Status()
-				tracer.Emit(search.Event{
-					Time: time.Now(), Type: search.EventDrift,
-					Op: "rematch", Iter: ds.Drifts, Dist: ds.Dist, Note: note,
-				})
-				log.Info("workload drift: warm in-session re-tune",
-					"app", reg.App, "drift", ds.Drifts, "dist", ds.Dist, "rematch", note)
-				return true
+			sess.depositedThrough = len(tr)
+			// Exact memo entries are real measurements of real
+			// configurations and stay valid (the objective is what changed,
+			// and the memo is keyed per-configuration truth the client
+			// re-reports anyway); the gate's plane fits are interpolations
+			// of pre-drift truth and must go. The gate is shared
+			// namespace-wide, so this flush acts for every peer session of
+			// the key — DriftDetect documents the assumption that they all
+			// observe the same live application.
+			if layer != nil && layer.Gate != nil {
+				layer.Gate.Flush()
 			}
-		}
-		var res *search.Result
-		var err error
-		if s.SearchKernel == KernelHyperband {
-			// Multi-fidelity triage over reduced-fidelity client
-			// measurements, then the very same simplex options as the
-			// full-fidelity polish. The experience configurations double
-			// as the sampling prior; a cold namespace degrades to plain
-			// Hyperband over uniform candidates.
-			res, err = mfsearch.Run(space, ev, mfsearch.NewPrior(space, priorCfgs), mfsearch.Options{
-				Direction: dir,
-				Seed:      kernelSeed(key, reg.Characteristics),
-				Polish:    nmOpts,
-				Tracer:    tracer,
+			// Re-match the classifier against the live vector: the new
+			// phase may be one the server has seen before. Either way the
+			// detector rebases — on the matched centroid, or on the live
+			// vector itself — and re-arms for the next episode.
+			live := det.Live()
+			sess.depositChars = live
+			ref, note := live, "no prior experience matched; tracking the live vector"
+			if exp, ok := store.Match(key, live); ok {
+				ref, note = exp.Characteristics, "re-matched a prior experience"
+			}
+			det.Rebase(ref)
+			ds := det.Status()
+			tracer.Emit(search.Event{
+				Time: time.Now(), Type: search.EventDrift,
+				Op: "rematch", Iter: ds.Drifts, Dist: ds.Dist, Note: note,
 			})
-		} else {
-			res, err = search.NelderMeadWithEvaluator(space, ev, nmOpts)
+			log.Info("workload drift: warm in-session re-tune",
+				"app", reg.App, "drift", ds.Drifts, "dist", ds.Dist, "rematch", note)
+			return true
 		}
-		if err != nil {
-			sess.errCh <- err
-			return
-		}
-		// Deposit the session's tuning experience for future sessions.
-		// Measured() drops estimation-gate answers — only ground truth
-		// enters the prior-run store. After a drift the tail segment goes
-		// in under the last phase's live workload vector; earlier phases
-		// were already deposited at their boundaries.
-		sess.deposited = store.Record(key, depositChars, dir, res.Trace[depositedThrough:].Measured())
-		sess.resultCh <- res
-	}()
+	}
+	if s.SearchKernel == KernelHyperband {
+		// Multi-fidelity triage over reduced-fidelity client measurements,
+		// then the very same simplex options as the full-fidelity polish.
+		// The experience configurations double as the sampling prior; a
+		// cold namespace degrades to plain Hyperband over uniform
+		// candidates.
+		sess.kernel = mfsearch.New(space, ev, mfsearch.NewPrior(space, priorCfgs), mfsearch.Options{
+			Direction: dir,
+			Seed:      kernelSeed(key, reg.Characteristics),
+			Polish:    nmOpts,
+			Tracer:    tracer,
+		})
+	} else {
+		sess.kernel = search.NewNelderMead(space, ev, nmOpts)
+	}
 	return nil
 }
 

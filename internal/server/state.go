@@ -89,8 +89,8 @@ type SessionSnapshot struct {
 }
 
 // sessionState is the live mutable twin of a SessionSnapshot. The trace
-// stream (kernel goroutine) and the message loop update it through a
-// per-session mutex or lone atomics — never a server-wide or shard lock —
+// stream and the message loop (both on the session goroutine) update it
+// through a per-session mutex or lone atomics — never a server-wide or shard lock —
 // so an API snapshot can only ever contend with its own session for the
 // few writes of one field copy, and the fetch/report hot path never waits
 // on an encoder.

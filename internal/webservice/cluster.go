@@ -267,10 +267,10 @@ func (c *Cluster) Objective(mix tpcw.Mix, vary bool) search.Objective {
 // hash of its values) rather than from a shared call counter. Measurements
 // are therefore independent of call order and concurrency — the same
 // configuration always runs the same simulated minute, no matter which
-// worker of the evaluator's concurrent round asks — which makes the
-// objective both safe for concurrent use and deterministic under
-// search.EvalBatch and Evaluator.Speculate. The sequential and parallel
-// kernels see identical values for identical probes.
+// of search.Drive's measurement goroutines asks — which makes the
+// objective both safe for concurrent use and deterministic under parallel
+// kernel steps. The sequential and parallel kernels see identical values
+// for identical probes.
 func (c *Cluster) ObjectiveStable(mix tpcw.Mix) search.Objective {
 	return search.ObjectiveFunc(func(cfg search.Config) float64 {
 		opts := c.opts
