@@ -501,9 +501,10 @@ func (c *Client) fetchReply() (cfg search.Config, fidelity float64, done bool, e
 }
 
 // Report sends the measured performance of the last fetched configuration.
-// On the JSON framings it waits for the server's acknowledgement; binary
-// v3 does not acknowledge reports (the next config is the flow control),
-// so the call returns as soon as the report is written.
+// On the JSON framings it waits for the server's acknowledgement, one round
+// trip of its own; binary v3 does not acknowledge reports (the next config
+// is the flow control), so the call returns as soon as the report is
+// written. ReportAndFetch saves the round trip on every framing.
 func (c *Client) Report(perf float64) error {
 	return c.ReportAt(perf, 0)
 }
@@ -515,6 +516,12 @@ func (c *Client) ReportAt(perf, fidelity float64) error {
 	if err := c.send(c.report(perf, fidelity)); err != nil {
 		return err
 	}
+	return c.reportReply()
+}
+
+// reportReply reads the server's acknowledgement of a report on the JSON
+// framings; binary v3 sends none.
+func (c *Client) reportReply() error {
 	if c.proto >= 3 {
 		return nil
 	}
@@ -529,11 +536,12 @@ func (c *Client) ReportAt(perf, fidelity float64) error {
 }
 
 // ReportAndFetch reports the last configuration's performance and asks for
-// the next one as a single exchange. Over binary v3 framing the report and
-// the fetch leave in one socket write and only the config reply crosses
-// back — one write plus one read per measurement, half the syscalls of
-// Report-then-Fetch; over the JSON framings it degrades to exactly that
-// pair, byte-identical to prior releases.
+// the next one as a single exchange: the report and the fetch leave in one
+// socket write. Over binary v3 framing only the config crosses back; over
+// the JSON framings the server's ok and config arrive together, the server
+// holding its ok while the fetch is already buffered. Either way it is one
+// write plus one read per measurement on each side, and the bytes in both
+// directions are those of Report followed by Fetch.
 func (c *Client) ReportAndFetch(perf float64) (cfg search.Config, done bool, err error) {
 	cfg, _, done, err = c.ReportAndFetchAt(perf, 0)
 	return cfg, done, err
@@ -543,13 +551,10 @@ func (c *Client) ReportAndFetch(perf float64) (cfg search.Config, done bool, err
 // reported measurement's fidelity and returns the next configuration's
 // requested fidelity.
 func (c *Client) ReportAndFetchAt(perf, reported float64) (cfg search.Config, fidelity float64, done bool, err error) {
-	if c.proto < 3 {
-		if err := c.ReportAt(perf, reported); err != nil {
-			return nil, 0, false, err
-		}
-		return c.FetchAt()
-	}
 	if err := c.sendPair(c.report(perf, reported), message{Op: "fetch"}); err != nil {
+		return nil, 0, false, err
+	}
+	if err := c.reportReply(); err != nil {
 		return nil, 0, false, err
 	}
 	return c.fetchReply()
@@ -580,9 +585,9 @@ func (c *Client) BestResult() (*Best, bool) {
 
 // Tune runs the whole fetch/measure/report loop against the given measure
 // function and returns the final answer. Each measurement after the first
-// fetch rides a ReportAndFetch exchange — on the JSON framings that is the
-// classic report/ok/fetch/config sequence unchanged; on binary v3 it is
-// one write and one read per configuration.
+// fetch rides a ReportAndFetch exchange: one write and one read per
+// configuration on every framing. On the JSON framings the bytes are the
+// classic report/ok/fetch/config sequence unchanged.
 func (c *Client) Tune(measure func(search.Config) float64) (*Best, error) {
 	return c.TuneAt(func(cfg search.Config, _ float64) float64 { return measure(cfg) })
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -381,11 +382,75 @@ func TestMaxEvalsCapZeroKeepsClientBudget(t *testing.T) {
 	}
 }
 
+// halfConn is the server end of an in-memory connection built from two
+// io.Pipes. Unlike net.Pipe, the client can close its sending half alone:
+// the server reads EOF, and the client still reads every reply until the
+// server closes.
+type halfConn struct {
+	r *io.PipeReader // client → server
+	w *io.PipeWriter // server → client
+}
+
+func (c halfConn) Read(p []byte) (int, error)     { return c.r.Read(p) }
+func (c halfConn) Write(p []byte) (int, error)    { return c.w.Write(p) }
+func (c halfConn) Close() error                   { c.r.Close(); return c.w.Close() }
+func (halfConn) LocalAddr() net.Addr              { return pipeAddr{} }
+func (halfConn) RemoteAddr() net.Addr             { return pipeAddr{} }
+func (halfConn) SetDeadline(time.Time) error      { return nil }
+func (halfConn) SetReadDeadline(time.Time) error  { return nil }
+func (halfConn) SetWriteDeadline(time.Time) error { return nil }
+
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }
+
+// replyStream serves one session on a fresh server, feeds it the client
+// bytes chunk by chunk (one write each), closes the client's sending half,
+// and returns every byte the server sent until it hung up.
+func replyStream(t *testing.T, hyperband bool, chunks [][]byte) []byte {
+	s := NewServer()
+	if hyperband {
+		s.SearchKernel = KernelHyperband
+	}
+	toSrv, fromCli := io.Pipe()
+	toCli, fromSrv := io.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.handle(halfConn{r: toSrv, w: fromSrv})
+	}()
+	replies := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(toCli)
+		replies <- b
+	}()
+	for _, c := range chunks {
+		if _, err := fromCli.Write(c); err != nil {
+			break // the session ended early
+		}
+	}
+	fromCli.Close()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("session never ended")
+	}
+	return <-replies
+}
+
 // FuzzSessionJSON feeds arbitrary client bytes through one in-process
 // JSON session — the register body, then fetch/report lines — on the
 // simplex and the hyperband kernel. Whatever arrives, the server must not
 // panic, must end the session exactly once, and must leave no goroutine
 // behind.
+//
+// The reply stream must not depend on how the bytes were segmented: the
+// input sent as one write and sent one line per write earn byte-identical
+// replies. A lockstep server that holds a report ack while the next line
+// is buffered must neither lose nor reorder it. Pipelined sessions
+// (window > 1) are exempt: their replies depend on the reader goroutine's
+// timing.
 func FuzzSessionJSON(f *testing.F) {
 	const quad = `"rsl":"{ harmonyBundle x { int {0 60 1} } }\n{ harmonyBundle y { int {0 60 1} } }"`
 	lines := func(ls ...string) []byte {
@@ -412,6 +477,13 @@ func FuzzSessionJSON(f *testing.F) {
 	f.Add(lines(`{"op":"register",`+quad+`,"max_evals":40,"improved":true,"window":2}`,
 		`{"op":"fetch"}`, `{"op":"fetch"}`, `{"op":"report","id":0,"perf":900}`,
 		`{"op":"report","id":1,"perf":950}`, `{"op":"fetch"}`), true)
+	// A coalescing client's report+fetch pairs.
+	f.Add(lines(`{"op":"register",`+quad+`,"max_evals":60,"improved":true}`,
+		`{"op":"fetch"}`, `{"op":"report","perf":-1215}`, `{"op":"fetch"}`,
+		`{"op":"report","perf":595}`, `{"op":"fetch"}`, `{"op":"quit"}`), false)
+	// A report followed by garbage: the held ack must still go out.
+	f.Add(lines(`{"op":"register",`+quad+`,"max_evals":60,"improved":true}`,
+		`{"op":"fetch"}`, `{"op":"report","perf":-1215}`, `not json`), false)
 
 	f.Fuzz(func(t *testing.T, data []byte, hyperband bool) {
 		if len(data) > 0 && data[0] == v3Magic[0] {
@@ -444,6 +516,21 @@ func FuzzSessionJSON(f *testing.F) {
 		}
 		if n := goroutinesSettleAt(base); n > base {
 			t.Fatalf("%d goroutines left behind", n-base)
+		}
+
+		first, _, _ := bytes.Cut(data, []byte{'\n'})
+		if reg, err := decode(first); err == nil && reg.Window > 1 {
+			return
+		}
+		var perLine [][]byte
+		for _, l := range bytes.SplitAfter(data, []byte{'\n'}) {
+			if len(l) > 0 {
+				perLine = append(perLine, l)
+			}
+		}
+		whole := replyStream(t, hyperband, [][]byte{data})
+		if split := replyStream(t, hyperband, perLine); !bytes.Equal(whole, split) {
+			t.Fatalf("replies depend on segmentation:\none write:   %q\nline writes: %q", whole, split)
 		}
 	})
 }

@@ -10,9 +10,10 @@ package server
 // same serveSession loop a plain connection runs — a window-1 session reads
 // its inbox inline, a window > 1 session selects on it directly.
 // Replies from every session funnel through a single corked writer that
-// coalesces all ready frames into one buffered flush, collapsing the
-// two-syscalls-per-exchange floor of one-connection-per-session deployments
-// to amortized well under one.
+// coalesces all ready frames into one buffered flush. What that saves
+// depends on the load: perfbench fleet (128 lockstep sessions over 2
+// connections, seed 1, 8 s, 2-vCPU VM) measures 1.07 frames per server
+// flush, against 2.12 per client flush.
 //
 // Flow control is credit-based and per-session: a session's credit is its
 // inbox capacity (2×window+4 — a conforming client can never exceed its

@@ -11,9 +11,9 @@ package server
 //
 // One reader goroutine demultiplexes incoming frames to per-session
 // channels; one writer goroutine corks all sessions' outgoing frames into
-// batched flushes, mirroring the server's corked writer, so a fleet of M
-// sessions over one connection pays amortized well under one syscall per
-// frame in each direction.
+// batched flushes, mirroring the server's corked writer. A session's
+// report+fetch pair, and frames other sessions queue meanwhile, usually
+// share a flush: perfbench fleet measures about 2 frames per client flush.
 
 import (
 	"bufio"

@@ -18,6 +18,13 @@
 //	C→S  {"op":"fetch"}
 //	S→C  {"op":"best","values":[4,5],"perf":80.1,"evals":57}
 //
+// Client.Tune sends each report and the next fetch in one write, and the
+// server, finding the fetch already buffered behind the report, sends the
+// ok and the config in one write: one write and one read per measurement
+// on each side, the bytes above unchanged. The server holds an ok only
+// while the next line is buffered, so a client that sends the report
+// alone and waits gets its ok at once.
+//
 // # Pipelined exchange (protocol v2)
 //
 // A client that can measure several configurations concurrently declares a
@@ -56,8 +63,7 @@
 // same ops, the same lockstep-or-pipelined session semantics selected by
 // the registered window — but hot-path frames (fetch/config/report)
 // encode and decode without JSON or allocation, and reports are not
-// acknowledged (as in v2, the next config is the flow control), so a
-// lockstep client coalesces report+fetch into one socket write. A
+// acknowledged (as in v2, the next config is the flow control). A
 // connection that starts with '{' speaks the JSON framing exactly as
 // before: v1/v2 bytes are pinned.
 //
@@ -144,20 +150,6 @@ type message struct {
 	// a JSON envelope — the token lives in the frame, not the message.
 	sess    uint64
 	hasSess bool
-}
-
-// encode renders a message as one JSON line. The normalized id is
-// materialized into the pointer-encoded wire field on a local copy, so
-// callers build messages with id/hasID on every framing.
-func encode(m message) ([]byte, error) {
-	if m.hasID && m.ID == nil {
-		m.ID = &m.id
-	}
-	b, err := json.Marshal(m)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }
 
 // decode parses one JSON line and normalizes the correlation id.

@@ -746,7 +746,7 @@ type loop struct {
 
 // acks reports whether this framing acknowledges reports and quits. v3
 // does not: as in the pipelined v2 exchange, the next config is the flow
-// control, which lets clients coalesce report+fetch into one write.
+// control.
 func (lo loop) acks() bool { return lo.proto < 3 }
 
 // fail is the protocol rejection: count it, tell the client, and return
@@ -881,7 +881,7 @@ func (s *Server) serve(conn net.Conn, sess *session, shard int, connID string) {
 		s.m().ProtocolErrors.Inc()
 		// The peer speaks neither framing; answer in JSON, the lingua
 		// franca every generation understands, before hanging up.
-		(&jsonWire{w: w, beforeWrite: beforeWrite}).send(message{Op: "error", Msg: err.Error()}) //nolint:errcheck
+		newJSONWire(nil, w, nil, beforeWrite).send(message{Op: "error", Msg: err.Error()}) //nolint:errcheck
 	}
 	if err != nil {
 		s.endSession(sess, err)
@@ -944,9 +944,10 @@ func (s *Server) serve(conn net.Conn, sess *session, shard int, connID string) {
 // exchanges are byte-identical to prior releases: reports are acked,
 // configs and reports carry no ids, a fetch while a report is pending
 // scores the lost point with the penalty, and a report with nothing pending
-// is fatal. Over v3 framing no report or quit is acked (lo.acks()): the
-// next config is the flow control, so a client coalesces report+fetch into
-// one write.
+// is fatal. On the JSON framing a report's ok is held while the client's
+// next line is already buffered, so a coalesced report+fetch is answered
+// in one write. Over v3 framing no report or quit is acked (lo.acks()):
+// the next config is the flow control.
 //
 // A window > 1 session is the protocol v2 pipelined exchange: up to window
 // outstanding configurations, fetches are credits the client may
@@ -965,6 +966,15 @@ func (s *Server) serveSession(sess *session, lo loop) error {
 	}
 	if err := lo.tr.send(reply); err != nil {
 		return err
+	}
+	// jw is set on a lockstep JSON session, the one exchange that acks
+	// reports: it holds each ok while the client's next line is already
+	// buffered (jsonWire.hold), so the ok leaves with that line's reply.
+	// Held output never waits on anything but that wire's own recv.
+	var jw *jsonWire
+	if lockstep && lo.acks() {
+		jw = lo.tr.(*jsonWire) // the acking framing is the JSON one
+		defer jw.flush()       //nolint:errcheck // the session is over either way
 	}
 	var in chan muxItem
 	var term *error
@@ -1071,6 +1081,11 @@ func (s *Server) serveSession(sess *session, lo loop) error {
 			if in == nil && wait == nil {
 				return lo.fail("server: kernel stalled with nothing to measure")
 			}
+			if jw != nil {
+				if err := jw.flush(); err != nil {
+					return err
+				}
+			}
 			var ok bool
 			select {
 			case it, ok = <-in:
@@ -1143,8 +1158,8 @@ func (s *Server) serveSession(sess *session, lo loop) error {
 			if err := retire(i, perf); err != nil {
 				return lo.fail(err.Error())
 			}
-			if lockstep && lo.acks() {
-				if err := lo.tr.send(message{Op: "ok"}); err != nil {
+			if jw != nil {
+				if err := jw.hold(message{Op: "ok"}); err != nil {
 					return err
 				}
 			}

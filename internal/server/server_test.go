@@ -273,7 +273,7 @@ func TestConcurrentSessions(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	m := message{Op: "config", Values: []int{1, -2, 3}}
-	b, err := encode(m)
+	b, err := encodeLine(m)
 	if err != nil {
 		t.Fatal(err)
 	}

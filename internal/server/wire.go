@@ -58,9 +58,13 @@ package server
 // field on the register envelope itself).
 //
 // Unlike v1, v3 does not acknowledge reports (v2 never did): the next
-// config is the flow control, which lets a lockstep client coalesce
-// report+fetch into a single socket write and halves the syscalls per
-// exchange.
+// config is the flow control.
+//
+// A lockstep exchange is one write and one read per side on both
+// framings. The client sends report+fetch in one write. On v3 only the
+// config answers; on the JSON framing the server holds its ok while the
+// fetch is already buffered (jsonWire.hold), so the ok and the config
+// leave in one write. The bytes are those of the unbatched exchange.
 //
 // Decode errors are classified, not collapsed: a *garbageError means the
 // stream is still in sync (the bad line or frame was consumed whole) and
@@ -70,6 +74,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -141,24 +146,59 @@ type batchTransport interface {
 }
 
 // jsonWire is the v1/v2 line-oriented JSON framing. Its bytes are pinned:
-// encode/decode are the same functions prior releases used.
+// each line is exactly json.Marshal output plus '\n', as prior releases
+// sent, and decode parses it.
+//
+// A lockstep server holds its report ack (hold) while the client's next
+// line — normally the coalesced fetch — is already buffered, so the ok and
+// the config leave in one write. Held output is flushed by the next send,
+// by a recv that would block, and by flush; the session loop calls flush
+// before it blocks anywhere else and when it returns.
 type jsonWire struct {
-	sc          *bufio.Scanner
-	w           *bufio.Writer
+	sc  *bufio.Scanner
+	w   *bufio.Writer
+	enc *json.Encoder // encodes straight into w
+	// scratch is the message enc encodes: owned by the wire, so the
+	// materialized id pointer and the interface conversion allocate nothing.
+	scratch message
+	// buffered is set while a complete line follows the one recv last
+	// returned: the next recv is answered without reading the connection.
+	buffered bool
+	// held is set while hold left output unflushed in w.
+	held        bool
 	beforeRead  func() // deadline hooks; nil means none
 	beforeWrite func()
 }
 
 func newJSONWire(r io.Reader, w *bufio.Writer, beforeRead, beforeWrite func()) *jsonWire {
-	sc := bufio.NewScanner(r)
+	t := &jsonWire{w: w, enc: json.NewEncoder(w), beforeRead: beforeRead, beforeWrite: beforeWrite}
+	t.sc = bufio.NewScanner(r)
 	// Start small — hot-path lines are tens of bytes — and let the scanner
 	// grow on demand up to the 1 MiB cap. A large fixed buffer here costs
 	// real zeroing time per connection at thousand-session scale.
-	sc.Buffer(make([]byte, 4*1024), maxFrame)
-	return &jsonWire{sc: sc, w: w, beforeRead: beforeRead, beforeWrite: beforeWrite}
+	t.sc.Buffer(make([]byte, 4*1024), maxFrame)
+	t.sc.Split(t.scanLines)
+	return t
+}
+
+// scanLines is bufio.ScanLines that also records whether a complete line
+// follows the token it returns.
+func (t *jsonWire) scanLines(data []byte, atEOF bool) (int, []byte, error) {
+	advance, token, err := bufio.ScanLines(data, atEOF)
+	if token != nil {
+		t.buffered = bytes.IndexByte(data[advance:], '\n') >= 0
+	}
+	return advance, token, err
 }
 
 func (t *jsonWire) recv() (message, error) {
+	if !t.buffered {
+		// About to block on the peer: nothing may stay held.
+		if err := t.flush(); err != nil {
+			return message{}, err
+		}
+	}
+	t.buffered = false
 	if t.beforeRead != nil {
 		t.beforeRead()
 	}
@@ -181,23 +221,66 @@ func (t *jsonWire) recv() (message, error) {
 
 func (t *jsonWire) send(m message) error { return t.sendBatch(m) }
 
-// sendBatch writes one line per message and flushes once. The lockstep v1
-// exchange acknowledges reports, so only a pipelined client's report+fetch
-// pair coalesces here.
+// sendBatch writes one line per message and flushes once, together with
+// any held output. A client's report+fetch pair coalesces here, lockstep
+// and pipelined alike.
 func (t *jsonWire) sendBatch(ms ...message) error {
 	if t.beforeWrite != nil {
 		t.beforeWrite()
 	}
 	for _, m := range ms {
-		b, err := encode(m)
-		if err != nil {
-			return err
-		}
-		if _, err := t.w.Write(b); err != nil {
+		if err := t.write(m); err != nil {
 			return err
 		}
 	}
+	if t.held {
+		// Only a lockstep server holds, and it sends and receives on one
+		// goroutine; a client's reader may be reading held meanwhile.
+		t.held = false
+	}
 	return t.w.Flush()
+}
+
+// hold is send without the flush while the peer's next line is already
+// buffered: the reply to that line carries m out in the same write. With
+// nothing buffered it is send. Whatever flushes the held line applies the
+// write deadline first.
+func (t *jsonWire) hold(m message) error {
+	if !t.buffered {
+		return t.send(m)
+	}
+	if err := t.write(m); err != nil {
+		return err
+	}
+	t.held = true
+	return nil
+}
+
+// flush writes out held output, if any.
+func (t *jsonWire) flush() error {
+	if !t.held {
+		return nil
+	}
+	t.held = false
+	if t.beforeWrite != nil {
+		t.beforeWrite()
+	}
+	return t.w.Flush()
+}
+
+// write encodes m as one line into w. The normalized correlation id is
+// materialized into the pointer-encoded wire field, so callers build
+// messages with id/hasID on every framing. Encoder output is exactly
+// json.Marshal's plus '\n', and an unencodable message (a NaN perf)
+// writes nothing.
+func (t *jsonWire) write(m message) error {
+	t.scratch = m
+	if m.hasID && m.ID == nil {
+		t.scratch.ID = &t.scratch.id
+	}
+	err := t.enc.Encode(&t.scratch)
+	t.scratch = message{} // no stale slice references
+	return err
 }
 
 // binWire is the v3 binary framing over a shared frame reader/writer pair.
