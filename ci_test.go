@@ -11,15 +11,21 @@ import (
 	"testing"
 )
 
-// goTestRun matches one `go test ... -run '<pattern>' ...` command line of
-// the CI workflow (continuation lines already joined).
-var goTestRun = regexp.MustCompile(`go test .*-run '([^']*)'`)
+// goTestPattern matches one quoted -run or -bench pattern of a `go test`
+// command line of the CI workflow (continuation lines already joined).
+var goTestPattern = regexp.MustCompile(`\s-(run|bench) '([^']*)'`)
 
-// TestCIRunPatternsMatchTests guards the CI workflow against -run
-// patterns that select nothing: `go test -run X` passes silently when no
-// test matches X, so a renamed test would drop out of its CI job unseen.
-// Every alternative of every -run pattern must match at least one Test or
-// Fuzz function declared in the packages the command names.
+// noTests is the explicit "run no tests" pattern, as in a benchmark-only
+// step: it selects nothing on purpose.
+const noTests = "^$"
+
+// TestCIRunPatternsMatchTests guards the CI workflow against -run and
+// -bench patterns that select nothing: `go test -run X` passes silently
+// when no test matches X, so a renamed test would drop out of its CI job
+// unseen. Every alternative of every -run pattern except noTests must match
+// at least one Test or Fuzz function, and every alternative of every
+// -bench pattern at least one Benchmark function, declared in the packages
+// the command names.
 func TestCIRunPatternsMatchTests(t *testing.T) {
 	raw, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {
@@ -28,8 +34,11 @@ func TestCIRunPatternsMatchTests(t *testing.T) {
 	joined := strings.ReplaceAll(string(raw), "\\\n", " ")
 	checked := 0
 	for _, line := range strings.Split(joined, "\n") {
-		m := goTestRun.FindStringSubmatch(line)
-		if m == nil {
+		if !strings.Contains(line, "go test ") {
+			continue
+		}
+		patterns := goTestPattern.FindAllStringSubmatch(line, -1)
+		if patterns == nil {
 			continue
 		}
 		var names []string
@@ -42,26 +51,37 @@ func TestCIRunPatternsMatchTests(t *testing.T) {
 			t.Errorf("%q names no package with tests", strings.TrimSpace(line))
 			continue
 		}
-		for _, alt := range strings.Split(m[1], "|") {
-			re, err := regexp.Compile(alt)
-			if err != nil {
-				t.Errorf("-run alternative %q: %v", alt, err)
+		for _, p := range patterns {
+			flag, pattern := p[1], p[2]
+			if flag == "run" && pattern == noTests {
 				continue
 			}
-			checked++
-			if !anyMatch(re, names) {
-				t.Errorf("-run alternative %q in %q matches no Test or Fuzz function", alt, strings.TrimSpace(line))
+			kinds := []string{"Test", "Fuzz"}
+			if flag == "bench" {
+				kinds = []string{"Benchmark"}
+			}
+			for _, alt := range strings.Split(pattern, "|") {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("-%s alternative %q: %v", flag, alt, err)
+					continue
+				}
+				checked++
+				if !anyMatch(re, names, kinds) {
+					t.Errorf("-%s alternative %q in %q matches no %s function", flag, alt, strings.TrimSpace(line), strings.Join(kinds, " or "))
+				}
 			}
 		}
 	}
 	if checked == 0 {
-		t.Fatal("found no -run patterns in the CI workflow")
+		t.Fatal("found no -run or -bench patterns in the CI workflow")
 	}
-	t.Logf("%d -run alternatives each match a test", checked)
+	t.Logf("%d -run and -bench alternatives checked", checked)
 }
 
-// testFuncs returns the Test and Fuzz functions declared in the _test.go
-// files of a package directory (a trailing /... includes subdirectories).
+// testFuncs returns the Test, Fuzz and Benchmark functions declared in the
+// _test.go files of a package directory (a trailing /... includes
+// subdirectories).
 func testFuncs(t *testing.T, pkg string) []string {
 	t.Helper()
 	dir, recursive := strings.CutSuffix(filepath.Clean(pkg), string(filepath.Separator)+"...")
@@ -88,8 +108,10 @@ func testFuncs(t *testing.T, pkg string) []string {
 			if !ok || fn.Recv != nil {
 				continue
 			}
-			if name := fn.Name.Name; strings.HasPrefix(name, "Test") || strings.HasPrefix(name, "Fuzz") {
-				names = append(names, name)
+			for _, kind := range []string{"Test", "Fuzz", "Benchmark"} {
+				if strings.HasPrefix(fn.Name.Name, kind) {
+					names = append(names, fn.Name.Name)
+				}
 			}
 		}
 		return nil
@@ -100,10 +122,13 @@ func testFuncs(t *testing.T, pkg string) []string {
 	return names
 }
 
-func anyMatch(re *regexp.Regexp, names []string) bool {
+// anyMatch reports whether re matches a name with one of the prefixes.
+func anyMatch(re *regexp.Regexp, names, prefixes []string) bool {
 	for _, n := range names {
-		if re.MatchString(n) {
-			return true
+		for _, p := range prefixes {
+			if strings.HasPrefix(n, p) && re.MatchString(n) {
+				return true
+			}
 		}
 	}
 	return false

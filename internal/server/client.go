@@ -39,7 +39,7 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	w    *bufio.Writer
-	tr   batchTransport
+	tr   batchTransport // nil until first use on the JSON framing; see transport
 	// proto is the wire framing generation in use: 2 for the JSON line
 	// protocol (the default), 3 after a binary-framing registration.
 	proto int
@@ -261,14 +261,21 @@ func DialWithOptions(addr string, opts DialOptions) (*Client, error) {
 // Client speaking the JSON line framing. Register with a Proto of 3 to
 // negotiate binary frames.
 func NewClientConn(conn net.Conn) *Client {
-	c := &Client{
+	return &Client{
 		conn:  conn,
 		br:    bufio.NewReaderSize(conn, 16*1024),
 		w:     bufio.NewWriter(conn),
 		proto: 2,
 	}
-	c.tr = newJSONWire(c.br, c.w, c.beforeRead, c.beforeWrite)
-	return c
+}
+
+// transport returns the connection's framing. The JSON one is built on
+// first use: a connection that registers with Proto 3 never speaks it.
+func (c *Client) transport() batchTransport {
+	if c.tr == nil {
+		c.tr = newJSONWire(c.br, c.w, c.beforeRead, c.beforeWrite)
+	}
+	return c.tr
 }
 
 // beforeRead/beforeWrite are the transport deadline hooks; they read
@@ -346,7 +353,7 @@ func (c *Client) logTransport(op string, err error) {
 func (c *Client) send(m message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := c.tr.send(m); err != nil {
+	if err := c.transport().send(m); err != nil {
 		c.logTransport("write "+m.Op, err)
 		return fmt.Errorf("%w: write: %v", ErrServerGone, err)
 	}
@@ -360,7 +367,7 @@ func (c *Client) sendPair(a, b message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.pair[0], c.pair[1] = a, b
-	err := c.tr.sendBatch(c.pair[:]...)
+	err := c.transport().sendBatch(c.pair[:]...)
 	c.pair[0], c.pair[1] = message{}, message{} // no stale slice references
 	if err != nil {
 		c.logTransport("write batch", err)
@@ -370,7 +377,7 @@ func (c *Client) sendPair(a, b message) error {
 }
 
 func (c *Client) recv() (message, error) {
-	m, err := c.tr.recv()
+	m, err := c.transport().recv()
 	if err != nil {
 		var g *garbageError
 		switch {

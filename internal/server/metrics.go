@@ -82,8 +82,9 @@ type Metrics struct {
 	MuxSessionsPerConn *obs.Histogram
 	// MuxCorkedFlushFrames observes how many frames each corked-writer
 	// flush coalesced into one socket write
-	// (harmony_mux_corked_flush_frames) — the batch size that collapses
-	// the per-exchange syscall floor at high session counts.
+	// (harmony_mux_corked_flush_frames) — the wave size that collapses
+	// the per-exchange syscall floor at high session counts: about 9 on
+	// average in a traced perfbench fleet run, 1.06 without the yield.
 	MuxCorkedFlushFrames *obs.Histogram
 	// MuxCreditStalls counts deliveries that found a session's inbox full
 	// — its flow-control credit exhausted (harmony_mux_credit_stalls_total).

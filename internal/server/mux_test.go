@@ -482,10 +482,8 @@ func TestMuxDeliverEvictsOnCreditExhaustion(t *testing.T) {
 	s.Metrics = NewMetrics(reg)
 	mc := &muxConn{
 		s: s, budget: 3, log: obs.Nop(),
-		out:        make(chan message, 8),
-		writeDead:  make(chan struct{}),
-		writerDone: make(chan struct{}),
-		table:      map[uint64]*muxSession{},
+		cw:    newCorkedWriter(nil, 8, nil, nil), // never run: the test reads its queue
+		table: map[uint64]*muxSession{},
 	}
 	ms := &muxSession{mc: mc, token: 7, log: obs.Nop(), inbox: make(chan muxItem, 1)}
 	mc.table[7] = ms
@@ -507,9 +505,9 @@ func TestMuxDeliverEvictsOnCreditExhaustion(t *testing.T) {
 	}
 	// The queued error frame carries the session's token and the eviction
 	// prefix the client library types on.
-	sent := <-mc.out
+	sent := <-mc.cw.out
 	for sent.Op != "error" {
-		sent = <-mc.out
+		sent = <-mc.cw.out
 	}
 	if sent.sess != 7 || !strings.HasPrefix(sent.Msg, muxEvictedPrefix) {
 		t.Fatalf("eviction frame = %+v", sent)
@@ -566,6 +564,37 @@ func TestMuxFleetOverEightConnections(t *testing.T) {
 	runMuxFleet(t, 8, 500, 64, func(int) RegisterOptions {
 		return RegisterOptions{MaxEvals: 40, Improved: true, Proto: 3}
 	})
+}
+
+// TestMuxFanInCorks: 64 lockstep sessions over one mux connection answer
+// each read's wave of frames in a few socket writes, not one write per
+// frame, on both ends. The corked writers yield once before each flush so
+// the sessions a read woke can queue their frames into it.
+func TestMuxFanInCorks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's slowdown reshapes the waves this test measures")
+	}
+	s, addr := startServerWith(t, func(s *Server) {
+		s.Metrics = NewMetrics(obs.NewRegistry())
+		s.MaxEvalsCap = 1 << 30
+	})
+	mx, err := DialMux(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mx.Close()
+	open := func() (*Client, error) { return mx.Session(), nil }
+	if err := lockstepExchanges(64*100, 64, 3, open, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	srv, cli := muxFlushFrames(s, mx)
+	t.Logf("frames per flush: server %.2f, client %.2f", srv, cli)
+	if srv < 2 {
+		t.Errorf("server corked writer: %.2f frames per flush, want at least 2", srv)
+	}
+	if cli < 4 {
+		t.Errorf("client corked writer: %.2f frames per flush, want at least 4", cli)
+	}
 }
 
 // runMuxFleet drives n sessions, at most inFlight at once, over conns mux

@@ -13,10 +13,12 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"harmony/internal/faultnet"
+	"harmony/internal/obs"
 	"harmony/internal/search"
 )
 
@@ -712,57 +714,181 @@ func FuzzV3FrameDecode(f *testing.F) {
 	})
 }
 
+// TestFrameCodecAllocs pins the v3 frame codec's heap cost for the hot-path
+// config+report pair, on plain and mux frames: encoding allocates nothing,
+// and decoding allocates three times — each frame's header scratch, which
+// escapes through io.ReadFull, and the config's value slice.
+func TestFrameCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	pair := [2]message{
+		{Op: "config", id: 7, hasID: true, Values: []int{20, 46, 3, 1}, sess: 9, hasSess: true},
+		{Op: "report", id: 7, hasID: true, Perf: 912.5, sess: 9, hasSess: true},
+	}
+	for _, mux := range []bool{false, true} {
+		var buf bytes.Buffer
+		fw := frameWriter{w: bufio.NewWriter(&buf), mux: mux}
+		encode := func() {
+			buf.Reset()
+			for _, m := range pair {
+				if err := fw.append(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fw.w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		encode()
+		wire := append([]byte(nil), buf.Bytes()...)
+		src := bytes.NewReader(wire)
+		fr := frameReader{r: bufio.NewReader(src), mux: mux}
+		decode := func() {
+			src.Reset(wire)
+			fr.r.Reset(src)
+			for _, want := range pair {
+				if m, err := fr.read(); err != nil || m.Op != want.Op {
+					t.Fatalf("mux=%v: read %+v, %v; want %q", mux, m, err, want.Op)
+				}
+			}
+		}
+		decode()
+		for _, tc := range []struct {
+			what    string
+			run     func()
+			ceiling float64
+		}{{"frameWriter.append", encode, 0}, {"frameReader.read", decode, 3}} {
+			if got := testing.AllocsPerRun(100, tc.run); got > tc.ceiling {
+				t.Errorf("mux=%v: %s allocates %.1f times per config+report pair, ceiling %.0f", mux, tc.what, got, tc.ceiling)
+			} else {
+				t.Logf("mux=%v: %s: %.1f allocs per config+report pair (ceiling %.0f)", mux, tc.what, got, tc.ceiling)
+			}
+		}
+	}
+}
+
 // --- benchmarks ------------------------------------------------------------
+
+// lockstepExchanges opens sessions lockstep sessions with open, calls
+// start, then runs n measurement exchanges across them concurrently. One
+// session converges after a few dozen evaluations no matter the budget, so
+// a session reopens when its kernel finishes — exactly what a load
+// generator does — and the dial/register cost amortizes over the exchanges
+// in between.
+func lockstepExchanges(n, sessions, proto int, open func() (*Client, error), start func()) error {
+	register := func() (*Client, search.Config, error) {
+		c, err := open()
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, err := c.Register(quadRSL, RegisterOptions{MaxEvals: 1 << 30, Improved: true, Proto: proto}); err != nil {
+			c.Close()
+			return nil, nil, err
+		}
+		cfg, done, err := c.Fetch()
+		if err == nil && done {
+			err = errors.New("first fetch: session already done")
+		}
+		if err != nil {
+			c.Close()
+			return nil, nil, err
+		}
+		return c, cfg, nil
+	}
+	clients := make([]*Client, sessions)
+	cfgs := make([]search.Config, sessions)
+	for i := range clients {
+		var err error
+		if clients[i], cfgs[i], err = register(); err != nil {
+			for _, c := range clients[:i] {
+				c.Close()
+			}
+			return err
+		}
+	}
+	start()
+	var left atomic.Int64
+	left.Store(int64(n))
+	errs := make(chan error, sessions)
+	var wg sync.WaitGroup
+	for i := range clients {
+		wg.Add(1)
+		go func(c *Client, cfg search.Config) {
+			defer wg.Done()
+			defer func() { c.Close() }()
+			for i := 0; left.Add(-1) >= 0; i++ {
+				// Deterministic per-call noise keeps the simplex spread wide
+				// so sessions survive longer before the kernel calls it
+				// converged.
+				perf := quadPeak(cfg) + 200*math.Sin(float64(i))
+				var done bool
+				var err error
+				if cfg, done, err = c.ReportAndFetch(perf); err != nil {
+					errs <- fmt.Errorf("exchange %d: %w", i, err)
+					return
+				}
+				if done {
+					c.Close()
+					if c, cfg, err = register(); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}(clients[i], cfgs[i])
+	}
+	wg.Wait()
+	close(errs)
+	return <-errs
+}
 
 // benchmarkExchange measures one lockstep measurement exchange end to end
 // (client report+fetch in, server config out, kernel handoff included)
-// over the given framing.
-func benchmarkExchange(b *testing.B, proto int) {
+// over the given framing, with sessions concurrent sessions on plain
+// connections or, with mux set, on one mux connection. A mux run reports
+// both corked writers' mean frames per flush.
+func benchmarkExchange(b *testing.B, proto, sessions int, mux bool) {
 	s := NewServer()
 	s.MaxEvalsCap = 1 << 30 // never finish inside the benchmark
+	if mux {
+		s.Metrics = NewMetrics(obs.NewRegistry())
+	}
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	// One session converges after a few dozen evaluations no matter the
-	// budget, so the bench reconnects when the kernel finishes — exactly
-	// what a load generator does — and the dial/register cost amortizes
-	// over the exchanges in between.
-	open := func() (*Client, search.Config) {
-		c, err := Dial(addr.String(), 2*time.Second)
-		if err != nil {
+	open := func() (*Client, error) { return Dial(addr.String(), 2*time.Second) }
+	var mx *Mux
+	if mux {
+		if mx, err = DialMux(addr.String(), 2*time.Second); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.Register(quadRSL, RegisterOptions{MaxEvals: 1 << 30, Improved: true, Proto: proto}); err != nil {
-			b.Fatal(err)
-		}
-		cfg, done, err := c.Fetch()
-		if err != nil || done {
-			b.Fatalf("first fetch: done=%v err=%v", done, err)
-		}
-		return c, cfg
+		defer mx.Close()
+		open = func() (*Client, error) { return mx.Session(), nil }
 	}
-	c, cfg := open()
-	defer func() { c.Close() }()
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Deterministic per-call noise keeps the simplex spread wide so
-		// sessions survive longer before the kernel calls it converged.
-		perf := quadPeak(cfg) + 200*math.Sin(float64(i))
-		var done bool
-		var err error
-		cfg, done, err = c.ReportAndFetch(perf)
-		if err != nil {
-			b.Fatalf("exchange %d: %v", i, err)
-		}
-		if done {
-			c.Close()
-			c, cfg = open()
-		}
+	if err := lockstepExchanges(b.N, sessions, proto, open, b.ResetTimer); err != nil {
+		b.Fatal(err)
+	}
+	if mx != nil {
+		b.StopTimer()
+		srv, cli := muxFlushFrames(s, mx)
+		b.ReportMetric(srv, "srv-frames/flush")
+		b.ReportMetric(cli, "cli-frames/flush")
 	}
 }
 
-func BenchmarkExchangeV2JSON(b *testing.B)   { benchmarkExchange(b, 2) }
-func BenchmarkExchangeV3Binary(b *testing.B) { benchmarkExchange(b, 3) }
+// muxFlushFrames returns the mean frames per flush of the server's corked
+// writers and of mx's.
+func muxFlushFrames(s *Server, mx *Mux) (server, client float64) {
+	h := s.Metrics.MuxCorkedFlushFrames
+	frames, flushes := mx.Stats()
+	return h.Sum() / float64(h.Count()), float64(frames) / float64(flushes)
+}
+
+func BenchmarkExchangeV2JSON(b *testing.B)   { benchmarkExchange(b, 2, 1, false) }
+func BenchmarkExchangeV3Binary(b *testing.B) { benchmarkExchange(b, 3, 1, false) }
+func BenchmarkExchangeMux(b *testing.B)      { benchmarkExchange(b, 3, 1, true) }
+func BenchmarkExchangeMuxFanIn(b *testing.B) { benchmarkExchange(b, 3, 64, true) }
